@@ -1,0 +1,13 @@
+"""Put the repro sources and the benchmark modules on ``sys.path``."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+
+for path in (ROOT / "src", ROOT / "bench"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
+
+#: Size divisor for the scaled-down workload variants the tests run.
+SHRINK = 16

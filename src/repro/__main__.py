@@ -43,8 +43,6 @@ import os
 import sys
 
 
-#: Figure drivers that accept ``mode=`` (event vs vectorized fast path).
-MODE_FIGURES = ("fig9", "fig10", "fig11", "fig13")
 #: Everything ``repro figures`` knows how to run.
 ALL_FIGURES = ("fig7", "fig9", "fig10", "fig11", "fig12", "fig13")
 
@@ -65,14 +63,15 @@ def run_figures(
         run_figure12,
         run_figure13,
     )
+    from repro.harness.specsets import FAST_FIGURES
     from repro.perf import default_cache
 
     scale = current_scale()
     run_mode = mode or "event"
-    if run_mode == "fast" and figure not in MODE_FIGURES:
+    if run_mode == "fast" and figure not in FAST_FIGURES:
         print(
             "error: --mode fast needs a single mode-capable figure "
-            f"({', '.join(MODE_FIGURES)}), e.g. "
+            f"({', '.join(FAST_FIGURES)}), e.g. "
             "`repro figures fig9 --mode fast`",
             file=sys.stderr,
         )
@@ -135,18 +134,6 @@ def run_figures(
 def run_bench_command(args) -> int:
     from repro.perf.bench import render_summary, run_bench
 
-    if args.cluster is not None:
-        from repro.perf.bench import render_cluster_summary, run_cluster_bench
-
-        payload, exit_code = run_cluster_bench(
-            scale_name=args.scale,
-            cluster=args.cluster,
-            results_dir=args.results_dir,
-            write=not args.dry_run,
-        )
-        print(render_cluster_summary(payload))
-        return exit_code
-
     payload, exit_code = run_bench(
         scale_name=args.scale,
         jobs=args.jobs,
@@ -208,9 +195,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="measure and write only; never fail")
     bench.add_argument("--dry-run", action="store_true",
                        help="do not write a BENCH_*.json file")
-    bench.add_argument("--cluster", type=int, default=None, metavar="N",
-                       help="time a sharded figure sweep at cluster sizes "
-                            "1 and N; writes CLUSTER_*.json instead")
     bench.add_argument("--profile", action="store_true",
                        help="cProfile every case (forces --jobs 1) and "
                             "write PROFILE_*.txt next to the BENCH json")
@@ -271,11 +255,6 @@ def main(argv: list[str] | None = None) -> int:
     serve_parser.add_argument("--drain-deadline", type=float, default=30.0,
                               help="seconds open jobs get on graceful "
                                    "shutdown (default 30)")
-    serve_parser.add_argument("--cluster", type=int, default=None,
-                              metavar="N",
-                              help="shard execution across N in-process "
-                                   "workers behind this server "
-                                   "(docs/SERVING.md)")
     serve_parser.add_argument("--quiet", action="store_true",
                               help="suppress per-request log lines")
 

@@ -21,7 +21,7 @@ from repro.check.invariants import run_all_invariants
 #: Stage names accepted as positional selectors (``repro check
 #: inference`` runs just that battery).
 STAGES = ("invariants", "differential", "fastpath", "oracles", "service",
-          "cluster", "inference", "pim")
+          "inference", "pim")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,10 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--service-lines", type=int, default=64,
         help="patternscan size for the service differential (default: 64)",
-    )
-    parser.add_argument(
-        "--skip-cluster", action="store_true",
-        help="skip the sharded-cluster-vs-direct differential",
     )
     parser.add_argument(
         "--skip-inference", action="store_true",
@@ -140,14 +136,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.check.service import run_service_check
 
         report = run_service_check(lines=args.service_lines)
-        print(report.render())
-        if not report.ok:
-            failures += len(report.divergences)
-
-    if wants("cluster"):
-        from repro.check.cluster import run_cluster_check
-
-        report = run_cluster_check(lines=args.service_lines)
         print(report.render())
         if not report.ok:
             failures += len(report.divergences)

@@ -396,12 +396,12 @@ def run_figure_grid_equivalence(
     """
     import dataclasses
 
-    from repro.harness.specsets import SPEC_FIGURES, figure_specs, spec_label
+    from repro.harness.specsets import FAST_FIGURES, figure_specs, spec_label
     from repro.perf.specs import execute_spec
 
     scale = scale or CHECK_SCALE
     report = FastPathReport()
-    for figure in figures or SPEC_FIGURES:
+    for figure in figures or FAST_FIGURES:
         for fast_spec in figure_specs(figure, scale, mode="fast"):
             report.runs += 1
             where = f"{figure} {spec_label(fast_spec)}"

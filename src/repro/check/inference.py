@@ -1,6 +1,6 @@
 """Inference-family differentials: generated vs replayed vs ingested.
 
-The ``repro.infer`` family makes three equivalence promises, each
+The ``repro.infer`` family makes two equivalence promises, each
 falsifiable here:
 
 1. **Trace fidelity** — a recorded workload survives serialisation:
@@ -9,16 +9,11 @@ falsifiable here:
    trace on an identically built machine reproduces the generated
    run's result fields, every per-component statistic, and the final
    memory image.
-2. **Mode equivalence** — the fast-mode twin of each workload matches
-   the event run on every functional field, stat dict, and output
-   digest (the same battery :mod:`repro.check.fastpath` applies to the
-   figure grids).
-3. **Ingest equivalence** — compiling a scalar trace with the pattern
+2. **Ingest equivalence** — compiling a scalar trace with the pattern
    rewrite enabled returns bit-identical loaded values while strictly
-   reducing DRAM line traffic (on a cache-thrashing machine), in both
-   modes.
+   reducing DRAM line traffic (on a cache-thrashing machine).
 
-``run_inference_check`` bundles the three for ``repro check``.
+``run_inference_check`` bundles the two for ``repro check``.
 """
 
 from __future__ import annotations
@@ -29,7 +24,6 @@ from repro.check.fastpath import (
     STAT_COMPONENTS,
     FastPathDivergence,
     FastPathReport,
-    _compare_records,
     _compare_result_fields,
     _compare_stat_dicts,
 )
@@ -38,7 +32,7 @@ from repro.infer.runner import replay_infer, run_infer
 from repro.trace.format import load_trace, save_trace, trace_from_text
 
 #: Small shapes: every code path (all three workloads, both variants),
-#: seconds of event-mode wall clock.
+#: seconds of wall clock.
 CHECK_SHAPES = {
     "gemv": {"m": 16, "n": 16, "batch": 1},
     "embed": {"vocab": 32, "bags": 4, "bag_size": 3},
@@ -90,8 +84,7 @@ def _check_workload(workload: str, variant: str, report) -> None:
     where = f"infer {workload}/{variant}"
     params = CHECK_SHAPES[workload]
     records: list = []
-    event = run_infer(workload, variant, mode="event",
-                      record_to=records, **params)
+    event = run_infer(workload, variant, record_to=records, **params)
     report.values_compared += 1
     if not event.verified:
         _diverge(report, where, "event run failed its oracle")
@@ -104,7 +97,7 @@ def _check_workload(workload: str, variant: str, report) -> None:
     # Python-side value consumers, so the answer digest is excluded —
     # the memory-image comparison below covers the outputs.)
     report.runs += 1
-    replay = replay_infer(workload, variant, records, mode="event", **params)
+    replay = replay_infer(workload, variant, records, **params)
     _compare_result_fields(f"{where} replay", event.result, replay.result,
                            report)
     for component in STAT_COMPONENTS:
@@ -121,27 +114,12 @@ def _check_workload(workload: str, variant: str, report) -> None:
     if not replay.verified:
         _diverge(report, where, "replayed image failed the oracle")
 
-    report.runs += 1
-    fast = run_infer(workload, variant, mode="fast", **params)
-    _compare_records(f"{where} fast", event, fast, report)
-    report.values_compared += 1
-    if fast.memory_digest != event.memory_digest:
-        _diverge(report, where, "fast memory image differs from event")
-
-    report.runs += 1
-    fast_replay = replay_infer(workload, variant, records, mode="fast",
-                               **params)
-    report.values_compared += 1
-    if fast_replay.memory_digest != event.memory_digest:
-        _diverge(report, where, "fast replay memory image differs")
-
 
 def _check_ingest(report) -> None:
     """The rewrite differential on a generated scalar gemv trace."""
     where = "infer ingest gemv"
     records: list = []
-    run_infer("gemv", "baseline", mode="event", record_to=records,
-              **CHECK_SHAPES["gemv"])
+    run_infer("gemv", "baseline", record_to=records, **CHECK_SHAPES["gemv"])
     report.runs += 1
     scalar = run_ingested(records, rewrite=False,
                           config_overrides=dict(THRASH_CACHE))
@@ -160,18 +138,6 @@ def _check_ingest(report) -> None:
             f"rewrite did not reduce DRAM reads: scalar="
             f"{scalar.result.dram_reads} gathered={gathered.result.dram_reads}",
         )
-    for rewrite, event in ((False, scalar), (True, gathered)):
-        report.runs += 1
-        fast = run_ingested(records, rewrite=rewrite, mode="fast",
-                            config_overrides=dict(THRASH_CACHE))
-        label = f"{where} rewrite={rewrite} fast"
-        _compare_records(label, event, fast, report)
-        report.values_compared += 1
-        if fast.values_digest != event.values_digest:
-            _diverge(report, label, "fast loaded values differ")
-        report.values_compared += 1
-        if fast.memory_digest != event.memory_digest:
-            _diverge(report, label, "fast memory image differs")
 
 
 def run_inference_check() -> InferenceReport:

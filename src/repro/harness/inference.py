@@ -5,8 +5,7 @@ same experiment shape as Section 7's applications: each
 :mod:`repro.infer` workload (batched GEMV, embedding-bag lookup,
 KV-cache attention gather) runs on the interleaved baseline machine and
 the shuffled GS-DRAM machine, and the harness reports the per-workload
-speedup and energy ratio. ``mode="fast"`` runs the vectorized twins
-(zero cycles; points normalise ``work_proxy``, i.e. DRAM line traffic).
+speedup and energy ratio.
 """
 
 from __future__ import annotations
@@ -21,22 +20,21 @@ from repro.utils.records import ComparisonSummary, FigureResult
 def run_inference(
     scale: Scale | None = None,
     jobs: int | None = None,
-    mode: str = "event",
 ) -> tuple[FigureResult, ComparisonSummary]:
     """Run all three inference workloads on both machines.
 
     Returns the usual (figure, summary) pair: one x per workload, one
-    series per mechanism (execution metric, normalised to the
+    series per mechanism (execution time, normalised to the
     baseline), and headline per-workload speedup + energy ratios.
     """
     scale = scale or current_scale()
-    metric = "execution time" if mode == "event" else "memory accesses"
     figure = FigureResult(
         figure="Inference",
-        description=f"ML inference: {metric} normalised to interleaved DRAM",
+        description="ML inference: execution time normalised to "
+                    "interleaved DRAM",
         x_label="workload",
     )
-    specs = figure_specs("infer", scale, mode=mode)
+    specs = figure_specs("infer", scale)
     runs = run_specs(specs, jobs=jobs)
     by_key = {}
     for run in runs:
@@ -53,17 +51,16 @@ def run_inference(
         figure.add_point("Interleaved (DRAM)", workload, 1.0)
         figure.add_point(
             "Shuffled (GS-DRAM)", workload,
-            gs.work_proxy / baseline.work_proxy,
+            gs.cycles / baseline.cycles,
         )
         summary.record(
             f"{workload}: GS-DRAM speedup over interleaved",
-            baseline.work_proxy / gs.work_proxy,
+            baseline.cycles / gs.cycles,
         )
-        if mode == "event":
-            summary.record(
-                f"{workload}: GS-DRAM energy reduction",
-                baseline.result.energy.total_mj / gs.result.energy.total_mj,
-            )
+        summary.record(
+            f"{workload}: GS-DRAM energy reduction",
+            baseline.result.energy.total_mj / gs.result.energy.total_mj,
+        )
     figure.notes.append(
         "expected shape: GS-DRAM at or below 1.0 for every workload; "
         "embedding lookups gain most (gathers touch 8x fewer lines)"

@@ -7,8 +7,8 @@ column is cheap to reach, is it cheaper still to never move it?  Each
 over the same seeded table column: the ``gs`` variant gathers with
 pattern-7 pattloads and folds on the CPU, the ``pim`` variant computes
 inside the chips with MRA+SHIFT programs (docs/INDRAM.md).  Both are
-oracle-verified; the figure reports the per-workload execution metric
-normalised to the GS side, plus energy ratios in event mode.
+oracle-verified; the figure reports the per-workload execution time
+normalised to the GS side, plus energy ratios.
 
 The honest headline (see docs/INDRAM.md): the filter wins outright —
 only the one-bit match mask crosses the bus — while the bit-serial sum
@@ -29,22 +29,21 @@ from repro.utils.records import ComparisonSummary, FigureResult
 def run_pim_ablation(
     scale: Scale | None = None,
     jobs: int | None = None,
-    mode: str = "event",
 ) -> tuple[FigureResult, ComparisonSummary]:
     """Run both workloads on both mechanisms.
 
     Returns the usual (figure, summary) pair: one x per workload, one
-    series per mechanism (execution metric normalised to the GS
+    series per mechanism (execution time normalised to the GS
     gather side), and headline per-workload gain + traffic ratios.
     """
     scale = scale or current_scale()
-    metric = "execution time" if mode == "event" else "memory accesses"
     figure = FigureResult(
         figure="PIM",
-        description=f"In-DRAM compute: {metric} normalised to GS gather",
+        description="In-DRAM compute: execution time normalised to "
+                    "GS gather",
         x_label="workload",
     )
-    specs = figure_specs("pim", scale, mode=mode)
+    specs = figure_specs("pim", scale)
     runs = run_specs(specs, jobs=jobs)
     by_key = {}
     for run in runs:
@@ -66,21 +65,20 @@ def run_pim_ablation(
         figure.add_point(VARIANT_MECHANISMS["gs"], workload, 1.0)
         figure.add_point(
             VARIANT_MECHANISMS["pim"], workload,
-            pim.work_proxy / gs.work_proxy,
+            pim.cycles / gs.cycles,
         )
         summary.record(
             f"{workload}: PIM gain over GS gather",
-            gs.work_proxy / pim.work_proxy,
+            gs.cycles / pim.cycles,
         )
         summary.record(
             f"{workload}: PIM DRAM traffic reduction",
             gs.result.memory_accesses / max(pim.result.memory_accesses, 1),
         )
-        if mode == "event":
-            summary.record(
-                f"{workload}: PIM energy reduction",
-                gs.result.energy.total_mj / pim.result.energy.total_mj,
-            )
+        summary.record(
+            f"{workload}: PIM energy reduction",
+            gs.result.energy.total_mj / pim.result.energy.total_mj,
+        )
     figure.notes.append(
         "expected shape: the filter's mask readback beats the gather "
         "outright; the bit-serial sum only wins once the table is large "

@@ -23,6 +23,14 @@ from repro.perf.specs import RunSpec
 #: (docs/INDRAM.md).
 SPEC_FIGURES = ("fig9", "fig10", "fig11", "fig13", "infer", "pim")
 
+#: The figures with a vectorized fast path (``mode="fast"``), where it
+#: runs 2.5-19x faster than the event machine. This tuple is the one
+#: place that list lives: the CLI, the bench suite, the fast-mode
+#: goldens and their tests all read it. infer and pim have no fast
+#: path (theirs measured 1.0-1.3x; see docs/PERFORMANCE.md), and
+#: ``RunSpec`` rejects ``mode="fast"`` for those kinds.
+FAST_FIGURES = ("fig9", "fig10", "fig11", "fig13")
+
 #: Cache sizing for the inference family: the paper's interesting
 #: regime has the gathered working set exceed the caches (its 64 MB
 #: table vs 2 MB L2); at repro scale we shrink the caches instead so
@@ -35,13 +43,15 @@ def figure_specs(figure: str, scale: Scale,
                  mode: str = "event") -> list[RunSpec]:
     """The representative runs for ``figure`` at ``scale``.
 
-    ``mode="fast"`` yields the vectorized twins of the same runs. Two
-    figures need workload tweaks to stay within the fast path's
-    deterministic envelope: fig10 drops the hardware prefetcher (the
-    fast substrate has no timing for it to react to), and fig11 runs
-    the phased fixed-count HTAP variant instead of the open-ended
-    two-core race. Those parameter differences are visible in the spec
-    (and therefore in the cache key), never silent.
+    ``mode="fast"`` yields the vectorized twins of the same runs; only
+    :data:`FAST_FIGURES` have them (for ``infer`` and ``pim`` the spec
+    itself raises :class:`ConfigError`). Two figures need workload
+    tweaks to stay within the fast path's deterministic envelope:
+    fig10 drops the hardware prefetcher (the fast substrate has no
+    timing for it to react to), and fig11 runs the phased fixed-count
+    HTAP variant instead of the open-ended two-core race. Those
+    parameter differences are visible in the spec (and therefore in
+    the cache key), never silent.
     """
     from repro.db.workload import FIGURE9_MIXES
 

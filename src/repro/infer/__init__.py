@@ -3,8 +3,8 @@
 Three kernels whose memory behaviour is dominated by non-unit-stride
 gathers — batched GEMV over interleaved weights, embedding-bag lookup,
 and KV-cache attention gather — each runnable on the baseline
-interleaved machine or the shuffled GS-DRAM machine, in cycle-level or
-fast mode, with numpy oracles and recordable traces. The ingest
+interleaved machine or the shuffled GS-DRAM machine, on the cycle-level
+simulator, with numpy oracles and recordable traces. The ingest
 frontend additionally compiles *external* traces (same text format)
 onto the gather machine, inferring patterns where the trace doesn't
 annotate them.

@@ -1,7 +1,7 @@
 """ML-inference workload generators: GEMV, embedding-bag, KV-cache.
 
 Each generator prepares one inference-style workload on a live system
-(event or fast — the API is identical) and returns a
+and returns a
 :class:`PreparedWorkload`: an op-stream factory plus an oracle-backed
 finalizer. The three workloads cover the access patterns that dominate
 modern inference serving, all of which are stride-8-value streams the

@@ -43,7 +43,6 @@ from repro.sim.results import RunResult
 from repro.sim.system import System
 from repro.trace.analysis import TraceReport, analyze
 from repro.trace.format import TraceRecord
-from repro.vec.shim import component_snapshot
 
 LINE_BYTES = 64
 VALUE_BYTES = 8
@@ -154,18 +153,12 @@ class IngestRun:
     """Outcome of executing one compiled trace."""
 
     compiled: CompiledTrace
-    mode: str
     result: RunResult
     #: sha256 over every loaded value, in program order.
     values_digest: str
     #: sha256 over the footprint region after the run.
     memory_digest: str
     loads_observed: int = 0
-    component_stats: dict | None = None
-
-    @property
-    def work_proxy(self) -> int:
-        return self.result.cycles or self.result.memory_accesses
 
 
 def _footprint_lines(records: list[TraceRecord]) -> tuple[int, int]:
@@ -185,7 +178,6 @@ def _footprint_lines(records: list[TraceRecord]) -> tuple[int, int]:
 def run_ingested(
     records: list[TraceRecord],
     rewrite: bool = True,
-    mode: str = "event",
     chips: int = 8,
     init_seed: int = 7,
     config_overrides: dict | None = None,
@@ -211,16 +203,7 @@ def run_ingested(
     min_line, end_line = _footprint_lines(records)
     pad = min_line % chips
     total_lines = end_line - (min_line - pad)
-    overrides = config_overrides or {}
-    config = table1_config(**overrides)
-    if mode == "fast":
-        from repro.vec.fastpath import FastSystem
-
-        system = FastSystem(config)
-    elif mode == "event":
-        system = System(config)
-    else:
-        raise WorkloadError(f"unknown ingest mode {mode!r}")
+    system = System(table1_config(**(config_overrides or {})))
 
     base = system.pattmalloc(total_lines * LINE_BYTES, shuffle=True,
                              pattern=chips - 1)
@@ -247,12 +230,10 @@ def run_ingested(
                             pattern=record.pattern, pc=record.pc)
 
     result = system.run([ops()])
-    stats = component_snapshot(system)
     image = system.mem_read(base, total_lines * LINE_BYTES)
     return IngestRun(
-        compiled=compiled, mode=mode, result=result,
+        compiled=compiled, result=result,
         values_digest=hashlib.sha256(b"".join(loaded)).hexdigest(),
         memory_digest=hashlib.sha256(image).hexdigest(),
         loads_observed=len(loaded),
-        component_stats=stats,
     )

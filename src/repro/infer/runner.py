@@ -1,11 +1,7 @@
 """Drivers for the inference workload family (``kind="infer"`` specs).
 
-One code path serves both execution modes: ``mode="event"`` builds the
-cycle-level :class:`~repro.sim.System`, ``mode="fast"`` the drop-in
-:class:`~repro.vec.fastpath.FastSystem` — same allocation, same op
-stream, same oracle, so event-vs-fast equivalence is checked by
-construction plus the full-stat battery in
-:mod:`repro.check.inference`, not by maintaining two kernels.
+Every run is on the cycle-level :class:`~repro.sim.System`; the family
+has no fast mode (see docs/PERFORMANCE.md).
 
 ``run_infer`` generates and runs a workload; ``replay_infer`` rebuilds
 the identical machine + memory image but drives it from a recorded
@@ -33,16 +29,15 @@ VARIANT_MECHANISMS = {"baseline": "Interleaved (DRAM)",
 
 @dataclass
 class InferRun:
-    """Outcome of one inference workload run (either mode)."""
+    """Outcome of one inference workload run."""
 
     workload: str
     variant: str
-    mode: str
     params: dict
     result: RunResult
     verified: bool
     #: sha256 over the workload's output values in program order —
-    #: equal across modes (and across generate/replay) iff every
+    #: equal across runs (and across generate/replay) iff every
     #: computed value is equal. Replayed runs have no Python-side
     #: consumers, so theirs is the memory-image digest criterion only.
     answer: str
@@ -59,26 +54,14 @@ class InferRun:
     def cycles(self) -> int:
         return self.result.cycles
 
-    @property
-    def work_proxy(self) -> int:
-        """Ranking metric valid in both modes: cycles when timed, DRAM
-        line traffic on the fast path (see ``GemmRun.work_proxy``)."""
-        return self.result.cycles or self.result.memory_accesses
 
-
-def _build_system(variant: str, mode: str, config_overrides: dict | None):
+def _build_system(variant: str, config_overrides: dict | None) -> System:
     if variant not in VARIANTS:
         raise ConfigError(f"unknown infer variant {variant!r}; "
                           f"expected one of {VARIANTS}")
-    if mode not in ("event", "fast"):
-        raise ConfigError(f"unknown run mode {mode!r}")
     overrides = config_overrides or {}
     config = (table1_config(**overrides) if variant == "gs"
               else plain_dram_config(**overrides))
-    if mode == "fast":
-        from repro.vec.fastpath import FastSystem
-
-        return FastSystem(config)
     return System(config)
 
 
@@ -92,7 +75,6 @@ def _prepare(system, workload: str, variant: str, params: dict):
 def run_infer(
     workload: str,
     variant: str,
-    mode: str = "event",
     config_overrides: dict | None = None,
     record_to: list[TraceRecord] | None = None,
     **params,
@@ -104,7 +86,7 @@ def run_infer(
     """
     timer = StageTimer()
     with timer.stage("setup"):
-        system = _build_system(variant, mode, config_overrides)
+        system = _build_system(variant, config_overrides)
     with timer.stage("generate"):
         prepared = _prepare(system, workload, variant, params)
     ops = prepared.ops()
@@ -122,7 +104,7 @@ def run_infer(
         ).hexdigest()
     timer.attach(result)
     return InferRun(
-        workload=workload, variant=variant, mode=mode,
+        workload=workload, variant=variant,
         params=dict(prepared.params), result=result, verified=verified,
         answer=answer, memory_digest=memory_digest,
         trace_records=len(record_to) if record_to is not None else 0,
@@ -135,7 +117,6 @@ def replay_infer(
     workload: str,
     variant: str,
     records: list[TraceRecord],
-    mode: str = "event",
     config_overrides: dict | None = None,
     **params,
 ) -> InferRun:
@@ -151,7 +132,7 @@ def replay_infer(
     """
     timer = StageTimer()
     with timer.stage("setup"):
-        system = _build_system(variant, mode, config_overrides)
+        system = _build_system(variant, config_overrides)
     with timer.stage("generate"):
         prepared = _prepare(system, workload, variant, params)
     if any(record.core != 0 for record in records):
@@ -168,7 +149,7 @@ def replay_infer(
         memory_digest = hashlib.sha256(image).hexdigest()
     timer.attach(result)
     return InferRun(
-        workload=workload, variant=variant, mode=mode,
+        workload=workload, variant=variant,
         params=dict(prepared.params), result=result,
         verified=image == expected,
         answer="", memory_digest=memory_digest,

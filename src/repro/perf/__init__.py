@@ -10,12 +10,6 @@ wall-clock trajectory in ``BENCH_<date>.json`` baselines.
 """
 
 from repro.perf.cache import ResultCache, code_version, default_cache
-from repro.perf.partition import (
-    partition_counts,
-    partition_specs,
-    shard_for_spec,
-    stable_shard,
-)
 from repro.perf.pool import resolve_jobs, run_specs
 from repro.perf.specs import RunSpec, cache_key, execute_spec, make_layout
 
@@ -27,10 +21,6 @@ __all__ = [
     "default_cache",
     "execute_spec",
     "make_layout",
-    "partition_counts",
-    "partition_specs",
     "resolve_jobs",
     "run_specs",
-    "shard_for_spec",
-    "stable_shard",
 ]

@@ -41,10 +41,6 @@ DEFAULT_THRESHOLD = 0.15
 #: Lines per strided-sweep point in the event-vs-fast bench cases
 #: (fixed across scales so recorded speedups are comparable over time).
 SWEEP_LINES = 1024
-#: The cluster bench sweeps longer points (per-spec wall-clock must
-#: dominate worker startup for the sharding ratio to mean anything).
-CLUSTER_SWEEP_LINES = 8192
-CLUSTER_SWEEP_STRIDES = (2, 4, 8)
 #: Functions shown per case in the ``--profile`` dump.
 PROFILE_TOP_N = 25
 
@@ -139,7 +135,7 @@ def bench_cases(scale) -> list[BenchCase]:
     """
     from repro.harness.fig7_patterns import render_figure7
     from repro.harness.patternscan import pattern_sweep_specs
-    from repro.harness.specsets import SPEC_FIGURES, figure_specs
+    from repro.harness.specsets import FAST_FIGURES, SPEC_FIGURES, figure_specs
 
     case_names = {
         "fig9": "fig9-transactions",
@@ -162,6 +158,8 @@ def bench_cases(scale) -> list[BenchCase]:
                     ],
                 )
             )
+        if figure not in FAST_FIGURES:
+            continue
         # The same figure on the vectorized engine: the wall-clock
         # ratio against the event twin above is the per-figure
         # fast-path speedup recorded in the "fastpath" block.
@@ -277,93 +275,6 @@ def _attribution(records: list[Any]) -> dict[str, Any]:
     return out
 
 
-def _pim_block(pim_records: dict[str, list[Any]]) -> dict | None:
-    """Per-workload GS-gather-vs-in-DRAM gains for the PIM ablation.
-
-    Built from the run records the bench already produced. Each entry
-    records both sides' work proxies, cycles, and energy — the
-    baseline is the committed evidence for the ablation's honest
-    result shape: at bench scale the in-DRAM *filter* wins outright in
-    event mode while *sum* wins on traffic only (its cycle win needs
-    tables large enough to amortise the per-chunk adder tree; see
-    docs/INDRAM.md).
-    """
-    if not pim_records:
-        return None
-    block: dict[str, Any] = {}
-    for mode, records in pim_records.items():
-        runs = [getattr(record, "record", record) for record in records]
-        by_key = {(run.workload, run.variant): run for run in runs}
-        workloads: dict[str, Any] = {}
-        for workload in ("sum", "filter"):
-            gs = by_key.get((workload, "gs"))
-            pim = by_key.get((workload, "pim"))
-            if gs is None or pim is None:
-                continue
-            entry: dict[str, Any] = {
-                "gs_work": gs.work_proxy,
-                "pim_work": pim.work_proxy,
-                "gain": (gs.work_proxy / pim.work_proxy
-                         if pim.work_proxy else None),
-                "traffic_reduction": (
-                    gs.result.memory_accesses
-                    / max(pim.result.memory_accesses, 1)
-                ),
-                "verified": gs.verified and pim.verified,
-            }
-            if mode == "event":
-                entry["gs_cycles"] = gs.result.cycles
-                entry["pim_cycles"] = pim.result.cycles
-                entry["gs_energy_mj"] = gs.result.energy.total_mj
-                entry["pim_energy_mj"] = pim.result.energy.total_mj
-                pim_energy = pim.result.energy.total_mj
-                entry["energy_gain"] = (
-                    gs.result.energy.total_mj / pim_energy
-                    if pim_energy else None
-                )
-            workloads[workload] = entry
-        block[mode] = workloads
-    return block or None
-
-
-def _infer_block(infer_records: dict[str, list[Any]]) -> dict | None:
-    """Per-workload GS-DRAM-vs-baseline gains for the inference family.
-
-    Built from the run records the bench already produced (no extra
-    simulation): the event side reports the cycle and energy gain, the
-    fast side the work-proxy (memory-access) ratio — the two ways the
-    paper quotes a mechanism win.
-    """
-    if not infer_records:
-        return None
-    block: dict[str, Any] = {}
-    for mode, records in infer_records.items():
-        runs = [getattr(record, "record", record) for record in records]
-        by_key = {(run.workload, run.variant): run for run in runs}
-        workloads: dict[str, Any] = {}
-        for workload in ("gemv", "embed", "kvcache"):
-            baseline = by_key.get((workload, "baseline"))
-            gs = by_key.get((workload, "gs"))
-            if baseline is None or gs is None:
-                continue
-            entry: dict[str, Any] = {
-                "baseline_work": baseline.work_proxy,
-                "gs_work": gs.work_proxy,
-                "gain": (baseline.work_proxy / gs.work_proxy
-                         if gs.work_proxy else None),
-                "verified": baseline.verified and gs.verified,
-            }
-            if mode == "event":
-                gs_energy = gs.result.energy.total_mj
-                entry["energy_gain"] = (
-                    baseline.result.energy.total_mj / gs_energy
-                    if gs_energy else None
-                )
-            workloads[workload] = entry
-        block[mode] = workloads
-    return block or None
-
-
 def machine_fingerprint() -> dict[str, str]:
     return {
         "hostname": socket.gethostname(),
@@ -372,18 +283,14 @@ def machine_fingerprint() -> dict[str, str]:
     }
 
 
-def available_cpus() -> int:
-    """Cores this process may use — the ceiling on any cluster speedup."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-linux
-        return os.cpu_count() or 1
-
-
 def latest_baseline(results_dir: pathlib.Path) -> pathlib.Path | None:
     """The newest committed ``BENCH_*.json``, if any."""
     candidates = sorted(results_dir.glob("BENCH_*.json"))
     return candidates[-1] if candidates else None
+
+
+def _case_names(payload: dict) -> list[str]:
+    return [case.get("name") for case in payload.get("cases", [])]
 
 
 def compare_to_baseline(
@@ -407,6 +314,11 @@ def compare_to_baseline(
     if old_scale is not None and new_scale is not None and old_scale != new_scale:
         # Wall-clock across scales measures the scales, not the code.
         verdict["status"] = "skipped-different-scale"
+        return verdict
+    if _case_names(baseline) != _case_names(payload):
+        # A suite total over other cases measures the case list: dropping
+        # a case reads as a speed-up that can hide a real regression.
+        verdict["status"] = "skipped-different-cases"
         return verdict
     if not same_machine and not strict:
         verdict["status"] = "skipped-different-machine"
@@ -452,8 +364,6 @@ def run_bench(
     cases_out = []
     total_wall = 0.0
     total_events = 0.0
-    infer_records: dict[str, list[Any]] = {}
-    pim_records: dict[str, list[Any]] = {}
     profiles: dict[str, str] = {}
     try:
         for case in bench_cases(scale):
@@ -491,14 +401,6 @@ def run_bench(
                 stats = pstats.Stats(profiler, stream=buffer)
                 stats.sort_stats("cumulative").print_stats(PROFILE_TOP_N)
                 profiles[case.name] = buffer.getvalue()
-            if case.name == "infer-gather":
-                infer_records["event"] = records
-            elif case.name == "infer-gather-fast":
-                infer_records["fast"] = records
-            elif case.name == "pim-ablation":
-                pim_records["event"] = records
-            elif case.name == "pim-ablation-fast":
-                pim_records["fast"] = records
             attribution = _attribution(records)
             events = attribution["engine_events"]
             total_wall += cold_wall
@@ -545,14 +447,6 @@ def run_bench(
     if figure_speedups:
         fastpath = dict(fastpath or {}, figures=figure_speedups)
 
-    infer_block = _infer_block(infer_records)
-    if infer_block is not None and "infer-gather" in figure_speedups:
-        infer_block["fast_speedup"] = figure_speedups["infer-gather"]["speedup"]
-
-    pim_block = _pim_block(pim_records)
-    if pim_block is not None and "pim-ablation" in figure_speedups:
-        pim_block["fast_speedup"] = figure_speedups["pim-ablation"]["speedup"]
-
     genverify = None
     if "genverify-scalar" in by_name and "genverify-vec" in by_name:
         scalar_wall = by_name["genverify-scalar"]["wall_s"]
@@ -579,8 +473,6 @@ def run_bench(
         "cases": cases_out,
         "fastpath": fastpath,
         "genverify": genverify,
-        "infer": infer_block,
-        "pim": pim_block,
         "stages": stage_totals,
         "cache": dict(cache.stats, hit_rate=cache.hit_rate),
         "totals": {
@@ -623,144 +515,6 @@ def run_bench(
         payload["profiles"] = profiles
 
     return payload, exit_code
-
-
-def cluster_sweep_specs(lines: int = CLUSTER_SWEEP_LINES) -> list[RunSpec]:
-    """The cluster bench workload: a wide fig7-style strided sweep.
-
-    Wider and longer than the serial bench's sweep — more unique specs
-    give the hash ring something to balance, and per-spec event-mode
-    wall-clock must dominate per-worker startup for the measured ratio
-    to reflect sharding rather than fixed costs.
-    """
-    return [
-        RunSpec(
-            kind="patternscan",
-            params={"variant": variant, "stride": stride, "lines": size},
-            mode="event",
-        )
-        for size in (lines, lines // 2)
-        for stride in CLUSTER_SWEEP_STRIDES
-        for variant in ("scalar", "gathered")
-    ]
-
-
-def run_cluster_bench(
-    scale_name: str = "quick",
-    cluster: int = 4,
-    results_dir: str | os.PathLike = DEFAULT_RESULTS_DIR,
-    write: bool = True,
-    lines: int = CLUSTER_SWEEP_LINES,
-) -> tuple[dict, int]:
-    """Time one figure sweep at cluster sizes 1 and N; returns (payload, rc).
-
-    ``repro bench --cluster N``. Each size gets a fresh result cache
-    and its own :class:`~repro.serve.cluster.LocalCluster` of
-    single-slot process-executor workers, so the measured ratio is the
-    sharding speedup, not cache reuse. The per-size digest maps must be
-    identical — a cluster that is fast but wrong fails the bench — and
-    the baseline goes to ``CLUSTER_<stamp>.json`` (not ``BENCH_*``,
-    which the serial regression gate globs).
-    """
-    from repro.serve.cluster import LocalCluster
-    from repro.serve.server import ServeConfig
-
-    del scale_name  # sweep size is fixed (comparable across runs)
-    if cluster < 1:
-        raise ValueError(f"cluster size must be >= 1, got {cluster}")
-    specs = cluster_sweep_specs(lines)
-    sizes = [1, cluster] if cluster > 1 else [1]
-    worker_config = ServeConfig(
-        port=0, executor="process", workers=1, state_dir=None,
-        max_inflight=10_000, request_log=False,
-    )
-
-    entries = []
-    digest_maps = []
-    for size in sizes:
-        with tempfile.TemporaryDirectory(prefix="repro-cluster-bench-") as tmp:
-            cache = ResultCache(pathlib.Path(tmp) / "cache")
-            with LocalCluster(size, cache=cache,
-                              config=worker_config) as fleet:
-                coordinator = fleet.coordinator(
-                    poll=0.02, steal_after=30.0, speculate_after=300.0
-                )
-                start = time.perf_counter()
-                report = coordinator.run_sweep(specs)
-                wall = time.perf_counter() - start
-        digest_maps.append(report.digests)
-        entries.append({
-            "cluster": size,
-            "wall_s": wall,
-            "specs": len(specs),
-            "unique_specs": report.unique_specs,
-            "per_worker": report.per_worker,
-            "stats": report.stats,
-        })
-
-    digests_agree = all(d == digest_maps[0] for d in digest_maps)
-    speedup = None
-    if len(entries) == 2 and entries[1]["wall_s"]:
-        speedup = entries[0]["wall_s"] / entries[1]["wall_s"]
-    payload = {
-        "schema": 1,
-        "timestamp": datetime.datetime.now().isoformat(timespec="seconds"),
-        "sweep_lines": lines,
-        "machine": machine_fingerprint(),
-        # Sharding cannot beat the core count: a 1.0x speedup on a
-        # 1-CPU box is the hardware ceiling, not a cluster defect, so
-        # the baseline records what the ratio was measured against.
-        "cpus": available_cpus(),
-        "code_version": code_version(),
-        "cluster": {
-            "sizes": sizes,
-            "entries": entries,
-            "speedup": speedup,
-            "digests_agree": digests_agree,
-        },
-    }
-    if write:
-        results_dir = pathlib.Path(results_dir)
-        results_dir.mkdir(parents=True, exist_ok=True)
-        stamp = datetime.datetime.now().strftime("%Y%m%d-%H%M%S")
-        out_path = results_dir / f"CLUSTER_{stamp}.json"
-        out_path.write_text(json.dumps(payload, indent=2) + "\n")
-        payload["output_file"] = str(out_path)
-    return payload, 0 if digests_agree else 1
-
-
-def render_cluster_summary(payload: dict) -> str:
-    block = payload["cluster"]
-    lines = [
-        f"cluster bench @ sweep_lines={payload['sweep_lines']} "
-        f"({payload['machine']['hostname']}, "
-        f"py{payload['machine']['python']})"
-    ]
-    for entry in block["entries"]:
-        stats = entry["stats"]
-        lines.append(
-            f"  cluster={entry['cluster']:<2} {entry['wall_s']:8.3f}s "
-            f"for {entry['specs']} specs "
-            f"(stolen={stats['stolen']}, speculated={stats['speculated']}, "
-            f"rate_limited={stats['rate_limited']})"
-        )
-    if block.get("speedup"):
-        line = (
-            f"  cluster speedup: {block['speedup']:.2f}x "
-            f"({block['entries'][0]['wall_s']:.3f}s -> "
-            f"{block['entries'][-1]['wall_s']:.3f}s)"
-        )
-        cpus = payload.get("cpus", 0)
-        if cpus and cpus < block["entries"][-1]["cluster"]:
-            line += f" [ceiling: {cpus} cpu{'s' if cpus != 1 else ''}]"
-        lines.append(line)
-    lines.append(
-        "  digests agree across cluster sizes: "
-        + ("yes" if block["digests_agree"] else "NO — MISMATCH")
-    )
-    if "output_file" in payload:
-        lines.append(f"  wrote {payload['output_file']}")
-    return "\n".join(lines)
 
 
 def render_summary(payload: dict) -> str:
@@ -814,24 +568,6 @@ def render_summary(payload: dict) -> str:
                     f"({entry['event_wall_s']:.3f}s -> "
                     f"{entry['fast_wall_s']:.3f}s)"
                 )
-    infer_block = payload.get("infer")
-    if infer_block:
-        for workload, entry in sorted(infer_block.get("event", {}).items()):
-            if entry.get("gain"):
-                line = f"  infer {workload}: GS-DRAM {entry['gain']:.2f}x"
-                if entry.get("energy_gain"):
-                    line += f" ({entry['energy_gain']:.2f}x energy)"
-                lines.append(line)
-    pim_block = payload.get("pim")
-    if pim_block:
-        for workload, entry in sorted(pim_block.get("event", {}).items()):
-            if entry.get("gain"):
-                line = f"  pim {workload}: in-DRAM {entry['gain']:.2f}x"
-                if entry.get("energy_gain"):
-                    line += f" ({entry['energy_gain']:.2f}x energy"
-                    line += (f", {entry['traffic_reduction']:.1f}x traffic)"
-                             if entry.get("traffic_reduction") else ")")
-                lines.append(line)
     verdict = payload.get("regression_check")
     if verdict:
         status = verdict["status"]

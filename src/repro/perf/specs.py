@@ -44,7 +44,9 @@ class RunSpec:
     full timed machine) or ``"fast"`` (the timing-free fast path of
     :mod:`repro.vec` — identical functional counts, zero cycles; see
     docs/PERFORMANCE.md). Like ``obs`` it is part of the cache key, so
-    fast and event results never collide in the result cache.
+    fast and event results never collide in the result cache. The
+    ``infer`` and ``pim`` kinds have no fast path and run only in event
+    mode.
     """
 
     kind: str
@@ -64,6 +66,10 @@ class RunSpec:
         if self.mode not in ("event", "fast"):
             raise ConfigError(
                 f"unknown run mode {self.mode!r}; expected 'event' or 'fast'"
+            )
+        if self.mode == "fast" and self.kind in ("infer", "pim"):
+            raise ConfigError(
+                f"kind {self.kind!r} has no fast path; use mode='event'"
             )
 
 
@@ -215,7 +221,6 @@ def _execute_driver(spec: RunSpec) -> Any:
         return run_infer(
             workload,
             variant,
-            mode=spec.mode,
             config_overrides=overrides,
             **params,
         )
@@ -230,7 +235,6 @@ def _execute_driver(spec: RunSpec) -> Any:
         return run_pim(
             workload,
             variant,
-            mode=spec.mode,
             config_overrides=overrides,
             **params,
         )

@@ -8,9 +8,7 @@ The subsystem layers over the existing DRAM model (docs/INDRAM.md):
   ``repro check pim`` stage.
 - :mod:`repro.pim.executor` — issues MRA/SHIFT/readback command
   streams against a real module, walking the per-bank timing windows
-  (``timed=True``, the event model) or just counting commands
-  (``timed=False``, the fast model). Functional results are identical
-  by construction.
+  and counting commands.
 - :mod:`repro.pim.ops` — compiles analytics aggregates (bit-serial
   column sum, predicate filter) into MRA+SHIFT programs over
   bit-sliced row groups placed by

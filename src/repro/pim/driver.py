@@ -6,16 +6,13 @@ column and verify against the same numpy oracle:
 - ``variant="gs"`` — GS-DRAM gathers the field column with pattern-7
   pattloads (the paper's Figure 8 loop) and the CPU folds the values;
   exactly the existing analytics machinery, run on
-  :class:`~repro.sim.System` (event) or
-  :class:`~repro.vec.fastpath.FastSystem` (fast).
+  :class:`~repro.sim.System`.
 - ``variant="pim"`` — the column is bit-sliced into per-bank row
   groups placed by :class:`~repro.mem.mapping.PIMRowGroupPolicy` and
   the aggregate is computed in-DRAM by the MRA+SHIFT programs of
-  :mod:`repro.pim.ops`, timed (event) or command-counted (fast) by
-  :class:`~repro.pim.executor.PIMExecutor`.
+  :mod:`repro.pim.ops`, timed by :class:`~repro.pim.executor.PIMExecutor`.
 
-``answer``/``memory_digest`` are mode-independent for each variant
-(fast and event execute identical functional work), which is what
+The two variants must agree on ``answer``, which is what
 ``repro check pim`` asserts.
 """
 
@@ -50,30 +47,23 @@ VARIANT_MECHANISMS = {"gs": "GS-DRAM gather + CPU",
 
 @dataclass
 class PIMRun:
-    """Outcome of one ablation run (either variant, either mode)."""
+    """Outcome of one ablation run (either variant)."""
 
     workload: str
     variant: str
-    mode: str
     params: dict
     result: RunResult
     verified: bool
     #: The aggregate value, as text (sum or match count).
     answer: str
     #: sha256 over the bytes the CPU actually received (gathered values
-    #: for GS, slice/mask readback for PIM) — equal across modes iff
-    #: the functional run was identical.
+    #: for GS, slice/mask readback for PIM).
     memory_digest: str
     component_stats: dict | None = field(default=None)
 
     @property
     def cycles(self) -> int:
         return self.result.cycles
-
-    @property
-    def work_proxy(self) -> int:
-        """Cycles when timed, DRAM line traffic on the fast path."""
-        return self.result.cycles or self.result.memory_accesses
 
 
 def _threshold(values: np.ndarray) -> int:
@@ -93,8 +83,7 @@ def _oracle(workload: str, values: np.ndarray, threshold: int) -> int:
 # ----------------------------------------------------------------------
 # GS side: gather + CPU fold
 # ----------------------------------------------------------------------
-def _run_gs(workload, mode, num_tuples, field_id, seed,
-            config_overrides, timer):
+def _run_gs(workload, num_tuples, field_id, seed, config_overrides, timer):
     layout = GSDRAMStore()
     with timer.stage("generate"):
         rows = make_rows(layout.schema, num_tuples, seed=seed)
@@ -102,15 +91,7 @@ def _run_gs(workload, mode, num_tuples, field_id, seed,
                                  seed=seed)[:, field_id]
         threshold = _threshold(values)
     with timer.stage("setup"):
-        config = table1_config(**(config_overrides or {}))
-        if mode == "fast":
-            from repro.vec.fastpath import FastSystem
-
-            system = FastSystem(config)
-        elif mode == "event":
-            system = System(config)
-        else:
-            raise ConfigError(f"unknown run mode {mode!r}")
+        system = System(table1_config(**(config_overrides or {})))
         layout.attach(system, num_tuples)
         layout.load_rows(rows)
 
@@ -140,7 +121,7 @@ def _run_gs(workload, mode, num_tuples, field_id, seed,
 # ----------------------------------------------------------------------
 # PIM side: bit-sliced in-DRAM programs
 # ----------------------------------------------------------------------
-def _run_pim_variant(workload, mode, num_tuples, field_id, seed,
+def _run_pim_variant(workload, num_tuples, field_id, seed,
                      config_overrides, timer):
     from repro.db.schema import TableSchema
 
@@ -150,8 +131,6 @@ def _run_pim_variant(workload, mode, num_tuples, field_id, seed,
         threshold = _threshold(values)
         width_in = max(int(values.max()).bit_length(), 1)
     with timer.stage("setup"):
-        if mode not in ("event", "fast"):
-            raise ConfigError(f"unknown run mode {mode!r}")
         config = plain_dram_config(**(config_overrides or {}))
         module = DRAMModule(
             geometry=config.geometry,
@@ -159,7 +138,7 @@ def _run_pim_variant(workload, mode, num_tuples, field_id, seed,
             policy=config.mapping_policy,
         )
         policy = PIMRowGroupPolicy(module)
-        executor = PIMExecutor(module, timed=(mode == "event"))
+        executor = PIMExecutor(module)
         chunks = [
             SliceChunk(executor, policy, bank, chunk_vals, width_in)
             for bank, chunk_vals in chunk_values(
@@ -230,7 +209,7 @@ def _run_pim_variant(workload, mode, num_tuples, field_id, seed,
             "cmd_SHIFT": float(counts.get("cmd_SHIFT", 0)),
             "shift_stages": float(counts.get("shift_stages", 0)),
             "pim_chunks": float(len(chunks)),
-            "fast_path": 0.0 if mode == "event" else 1.0,
+            "fast_path": 0.0,
         },
     )
     # Surface the PIM counters through an active observability session
@@ -249,7 +228,6 @@ def _run_pim_variant(workload, mode, num_tuples, field_id, seed,
 def run_pim(
     workload: str,
     variant: str,
-    mode: str = "event",
     config_overrides: dict | None = None,
     num_tuples: int = 8192,
     field_id: int = 0,
@@ -265,13 +243,12 @@ def run_pim(
     timer = StageTimer()
     runner = _run_gs if variant == "gs" else _run_pim_variant
     result, answer, memory_digest, verified, threshold, stats = runner(
-        workload, mode, num_tuples, field_id, seed, config_overrides, timer
+        workload, num_tuples, field_id, seed, config_overrides, timer
     )
     timer.attach(result)
     return PIMRun(
         workload=workload,
         variant=variant,
-        mode=mode,
         params={"num_tuples": num_tuples, "field_id": field_id,
                 "seed": seed, "threshold": threshold},
         result=result,

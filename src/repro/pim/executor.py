@@ -8,12 +8,6 @@ shared command-bus cursor (one command slot per ``cpu_per_bus``
 cycles), reproduces exactly what the event controller would do with
 these commands. Banks overlap with each other — chunked aggregates
 farm one chunk per bank — and ``cycles`` is the latest completion.
-
-``timed=False`` is the fast mode: the same commands mutate the same
-byte arrays and bump the same counters, only the window walk is
-skipped, so functional outputs and command counts are equal to the
-timed run by construction (``repro check pim`` verifies the resulting
-digest equality end to end).
 """
 
 from __future__ import annotations
@@ -26,9 +20,8 @@ from repro.utils.statistics import StatGroup
 class PIMExecutor:
     """Issues MRA / SHIFT / readback streams against one DRAM module."""
 
-    def __init__(self, module, timed: bool = True, tracer=None) -> None:
+    def __init__(self, module, tracer=None) -> None:
         self.module = module
-        self.timed = timed
         self.tracer = tracer
         self.stats = StatGroup("pim")
         banks = module.geometry.banks
@@ -40,8 +33,8 @@ class PIMExecutor:
     # ------------------------------------------------------------------
     @property
     def cycles(self) -> int:
-        """Completion cycle of the latest command (0 when untimed)."""
-        return max(self._bank_time) if self.timed else 0
+        """Completion cycle of the latest command."""
+        return max(self._bank_time)
 
     def _slot(self, bank_id: int) -> int:
         """Earliest cycle the command bus + bank can accept a command."""
@@ -63,8 +56,8 @@ class PIMExecutor:
         if command.kind is commands.CommandKind.SHIFT:
             args["op"] = command.op
             args["amount"] = command.amount
-        now = self._bank_time[command.bank] if self.timed else 0
-        self.tracer.instant("dram-command", command.kind.value, now,
+        self.tracer.instant("dram-command", command.kind.value,
+                            self._bank_time[command.bank],
                             tid=command.bank, args=args)
 
     # ------------------------------------------------------------------
@@ -77,11 +70,10 @@ class PIMExecutor:
         self.module.rank.mra(bank_id, command.rows, dest, op)
         self.stats.add(f"cmd_MRA{len(command.rows)}")
         self.stats.add(f"mra_{op.lower()}")
-        if self.timed:
-            bank = self.module.banks[bank_id]
-            issue = max(self._slot(bank_id), bank.next_activate)
-            end = bank.issue_mra(command.rows, issue)
-            self._took(bank_id, issue, end)
+        bank = self.module.banks[bank_id]
+        issue = max(self._slot(bank_id), bank.next_activate)
+        end = bank.issue_mra(command.rows, issue)
+        self._took(bank_id, issue, end)
         self._trace(command)
 
     def shift(self, bank_id: int, row: int, amount: int,
@@ -92,11 +84,10 @@ class PIMExecutor:
         stages = amount.bit_length()
         self.stats.add("cmd_SHIFT")
         self.stats.add("shift_stages", stages)
-        if self.timed:
-            bank = self.module.banks[bank_id]
-            issue = max(self._slot(bank_id), bank.next_activate)
-            end = bank.issue_shift(stages, issue)
-            self._took(bank_id, issue, end)
+        bank = self.module.banks[bank_id]
+        issue = max(self._slot(bank_id), bank.next_activate)
+        end = bank.issue_shift(stages, issue)
+        self._took(bank_id, issue, end)
         self._trace(command)
 
     # ------------------------------------------------------------------
@@ -122,20 +113,18 @@ class PIMExecutor:
             raise ProtocolError(
                 f"readback of {columns} lines from a "
                 f"{self.module.geometry.columns_per_row}-column row")
-        timing = self.module.timing
-        if self.timed:
-            bank = self.module.banks[bank_id]
-            issue = max(self._slot(bank_id), bank.next_activate)
-            bank.issue_activate(row, issue)
-            self._bus_free = issue + self.module.cpu_per_bus
-            burst_end = issue
-            for _ in range(columns):
-                slot = max(self._bus_free, bank.next_column)
-                burst_end = bank.issue_read(row, slot)
-                self._bus_free = slot + self.module.cpu_per_bus
-            pre = max(self._bus_free, bank.next_precharge, burst_end)
-            bank.issue_precharge(pre)
-            self._bank_time[bank_id] = pre + timing.t_rp
+        bank = self.module.banks[bank_id]
+        issue = max(self._slot(bank_id), bank.next_activate)
+        bank.issue_activate(row, issue)
+        self._bus_free = issue + self.module.cpu_per_bus
+        burst_end = issue
+        for _ in range(columns):
+            slot = max(self._bus_free, bank.next_column)
+            burst_end = bank.issue_read(row, slot)
+            self._bus_free = slot + self.module.cpu_per_bus
+        pre = max(self._bus_free, bank.next_precharge, burst_end)
+        bank.issue_precharge(pre)
+        self._bank_time[bank_id] = pre + self.module.timing.t_rp
         self.stats.add("cmd_ACT")
         self.stats.add("cmd_RD", columns)
         self.stats.add("cmd_PRE")

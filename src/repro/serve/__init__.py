@@ -9,16 +9,6 @@ result cache, journals jobs for crash recovery, and serves its own
 """
 
 from repro.serve.client import RateLimited, ServeClient, ServeError
-from repro.serve.cluster import (
-    ClusterCoordinator,
-    ClusterError,
-    ClusterReport,
-    ClusterRunner,
-    HashRing,
-    LocalCluster,
-    WorkerHandle,
-    WorkerRegistry,
-)
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
     decode_result,
@@ -40,16 +30,8 @@ from repro.serve.testing import ServerThread
 
 __all__ = [
     "AdmissionDenied",
-    "ClusterCoordinator",
-    "ClusterError",
-    "ClusterReport",
-    "ClusterRunner",
     "DEFAULT_PORT",
-    "HashRing",
     "Job",
-    "LocalCluster",
-    "WorkerHandle",
-    "WorkerRegistry",
     "JobQueue",
     "JobRunner",
     "JobStore",

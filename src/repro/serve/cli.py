@@ -52,36 +52,8 @@ def run_serve(args) -> int:
         drain_deadline=args.drain_deadline,
         request_log=not args.quiet,
     )
-    runner = None
-    cluster_size = getattr(args, "cluster", None)
-    if cluster_size is not None and cluster_size > 1:
-        # Sharded mode: the front server keeps the public API (and the
-        # journal at --state-dir) but dispatches every job to one of N
-        # in-process workers sharing the result cache. Each worker runs
-        # its own process executor, so the fleet parallelises for real.
-        import dataclasses as _dataclasses
-
-        from repro.perf.cache import default_cache
-        from repro.serve.cluster import ClusterRunner, LocalCluster
-
-        shared_cache = default_cache()
-        worker_config = _dataclasses.replace(
-            config, port=0, executor=args.executor, workers=1,
-            state_dir=None, rate=0.0, max_inflight=10_000,
-            request_log=False,
-        )
-        cluster = LocalCluster(
-            cluster_size, cache=shared_cache, config=worker_config
-        ).start()
-        runner = ClusterRunner(
-            cluster.registry, cache=shared_cache, cluster=cluster
-        )
-        print(
-            f"repro serve: cluster mode, {cluster_size} workers on ports "
-            f"{[h.port for h in cluster.registry.all()]}"
-        )
     try:
-        return asyncio.run(serve(config, runner=runner))
+        return asyncio.run(serve(config))
     except KeyboardInterrupt:
         return 0
 

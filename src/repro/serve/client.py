@@ -153,14 +153,12 @@ class ServeClient:
         priority: int = 0,
         wait: bool = False,
         timeout: float | None = None,
-        shard: int | None = None,
     ) -> dict:
         """Submit one spec; returns the submit response body.
 
         With ``wait=True`` the server blocks the request until the job
         finishes (bounded by its ``max_wait``), and the response carries
-        the encoded result. ``shard`` is the cluster coordinator's
-        assignment annotation (standalone callers leave it unset).
+        the encoded result.
         """
         body = protocol.submit_request(
             spec,
@@ -168,7 +166,6 @@ class ServeClient:
             priority=priority,
             wait=wait,
             timeout=timeout,
-            shard=shard,
         )
         request_timeout = None
         if wait:

@@ -163,34 +163,6 @@ def result_digest(record: Any) -> str:
     return hashlib.sha256(_normalized_pickle(record)).hexdigest()
 
 
-# Canonical shard placement lives with the sweep partitioner in
-# repro.perf.partition; re-exported here because it is part of the
-# wire contract ("shard" fields are produced by this function).
-from repro.perf.partition import stable_shard  # noqa: E402
-
-
-def reconcile_digests(digests: dict[str, str | None]) -> str:
-    """The agreed digest from several attempts at one spec, or raise.
-
-    ``digests`` maps attempt labels (worker names) to the result digest
-    each reported. Speculative re-execution resolves first-digest-wins,
-    but every attempt that *does* finish must agree — the simulator is
-    deterministic, so two workers disagreeing on one spec means one of
-    them is broken, which must fail loudly rather than silently pick a
-    winner.
-    """
-    seen = {d for d in digests.values() if d is not None}
-    if not seen:
-        raise ProtocolError("no attempt produced a digest to reconcile")
-    if len(seen) > 1:
-        detail = ", ".join(
-            f"{label}={str(digest)[:16]}"
-            for label, digest in sorted(digests.items())
-        )
-        raise ProtocolError(f"attempt digests disagree: {detail}")
-    return seen.pop()
-
-
 def encode_result(record: Any) -> dict:
     """A run record as ``{"digest": ..., "pickle": <base64>}``.
 
@@ -227,15 +199,8 @@ def submit_request(
     priority: int = 0,
     wait: bool = False,
     timeout: float | None = None,
-    shard: int | None = None,
 ) -> dict:
-    """Body of ``POST /v1/jobs``.
-
-    ``shard`` is the coordinator's shard annotation (see
-    :func:`stable_shard`); the server stores and echoes it so cluster
-    digest reconciliation can tie a worker's job back to its
-    assignment. Standalone clients leave it unset.
-    """
+    """Body of ``POST /v1/jobs``."""
     body: dict[str, Any] = {
         "protocol": PROTOCOL_VERSION,
         "spec": spec_to_wire(spec),
@@ -246,16 +211,13 @@ def submit_request(
         body["wait"] = True
     if timeout is not None:
         body["timeout"] = timeout
-    if shard is not None:
-        body["shard"] = shard
     return body
 
 
 def parse_submit_request(body: Any) -> dict:
     """Validate a submit body; returns the normalised fields.
 
-    Returns ``{"spec", "client", "priority", "wait", "timeout",
-    "shard"}``.
+    Returns ``{"spec", "client", "priority", "wait", "timeout"}``.
     """
     if not isinstance(body, dict):
         raise ProtocolError("submit body must be a JSON object")
@@ -278,18 +240,12 @@ def parse_submit_request(body: Any) -> dict:
     timeout = body.get("timeout")
     if timeout is not None and not isinstance(timeout, (int, float)):
         raise ProtocolError("'timeout' must be a number of seconds")
-    shard = body.get("shard")
-    if shard is not None and (
-        not isinstance(shard, int) or isinstance(shard, bool) or shard < 0
-    ):
-        raise ProtocolError("'shard' must be a non-negative integer")
     return {
         "spec": spec,
         "client": client,
         "priority": priority,
         "wait": wait,
         "timeout": timeout,
-        "shard": shard,
     }
 
 

@@ -120,8 +120,6 @@ class Job:
     recovered: bool = False
     #: How many later submissions coalesced onto this job.
     attached: int = 0
-    #: Cluster shard annotation (coordinator-assigned; None standalone).
-    shard: int | None = None
     record: Any = None
     digest: str | None = None
     done: asyncio.Event = field(default_factory=asyncio.Event, repr=False)
@@ -146,7 +144,6 @@ class Job:
             "cached": self.cached,
             "recovered": self.recovered,
             "attached": self.attached,
-            "shard": self.shard,
             "digest": self.digest,
         }
         if clock_now is not None and not self.terminal:
@@ -217,7 +214,6 @@ class JobQueue:
         job_id: str | None = None,
         recovered: bool = False,
         submitted_wall: float | None = None,
-        shard: int | None = None,
     ) -> tuple[Job, bool]:
         """Admit one submission; returns ``(job, coalesced)``.
 
@@ -262,7 +258,6 @@ class JobQueue:
             submitted_at=submitted_at,
             submitted_wall=wall,
             recovered=recovered,
-            shard=shard,
         )
         self._jobs[job.job_id] = job
         self._active_by_key[key] = job

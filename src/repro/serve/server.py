@@ -182,7 +182,6 @@ class SimulationServer:
         self,
         config: ServeConfig | None = None,
         cache: ResultCache | None | object = _DEFAULT,
-        runner: Any = None,
     ) -> None:
         self.config = config or ServeConfig()
         self.queue = JobQueue(
@@ -190,11 +189,7 @@ class SimulationServer:
             rate=self.config.rate,
             burst=self.config.burst,
         )
-        # An injected runner must match JobRunner's surface (async
-        # run(spec) -> (record, cached), mode, close()); the cluster
-        # front uses this seam to dispatch jobs to workers instead of
-        # executing them locally (repro.serve.cluster.ClusterRunner).
-        self.runner = runner if runner is not None else JobRunner(
+        self.runner = JobRunner(
             workers=self.config.workers,
             executor=self.config.executor,
             cache=cache,
@@ -217,7 +212,6 @@ class SimulationServer:
         self._running: set[asyncio.Task] = set()
         self._draining = False
         self._closed = False
-        self._aborted = False
         self._stopped: asyncio.Event | None = None
         self._started_at = 0.0
 
@@ -323,38 +317,6 @@ class SimulationServer:
         assert self._stopped is not None
         self._stopped.set()
 
-    async def abort(self) -> None:
-        """Stop serving immediately, as if the process had died.
-
-        No drain, no cancellation journalling: open jobs stay open in
-        the journal exactly as a crash would leave them, so a later
-        server on the same state dir recovers them. Used by the cluster
-        worker-kill drills (:mod:`repro.serve.cluster`) and tests; a
-        production stop is :meth:`shutdown`.
-        """
-        if self._draining:
-            await self.wait_stopped()
-            return
-        self._aborted = True
-        self._draining = True
-        self._closed = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        assert self._work is not None
-        async with self._work:
-            self._work.notify_all()
-        if self._scheduler_task is not None:
-            await self._scheduler_task
-        for task in list(self._running):
-            task.cancel()
-        if self._running:
-            await asyncio.gather(*self._running, return_exceptions=True)
-        self.runner.close()
-        logger.info(json.dumps({"event": "aborted"}))
-        assert self._stopped is not None
-        self._stopped.set()
-
     # ------------------------------------------------------------------
     # Scheduling / execution
     # ------------------------------------------------------------------
@@ -406,10 +368,7 @@ class SimulationServer:
                     self._work.notify_all()
 
     def _journal(self, state: str, job: Job) -> None:
-        # An aborted (simulated-crash) server stops journalling: a real
-        # crash would not have written these transitions either, and the
-        # recovery tests depend on the journal keeping its open entries.
-        if self.store is not None and not self._aborted:
+        if self.store is not None:
             self.store.append(state, job.as_wire())
 
     # ------------------------------------------------------------------
@@ -517,7 +476,6 @@ class SimulationServer:
                 fields["spec"],
                 client=fields["client"],
                 priority=fields["priority"],
-                shard=fields["shard"],
             )
         except AdmissionDenied as denied:
             code = 429
@@ -654,11 +612,11 @@ async def _write_response(
     await writer.drain()
 
 
-async def serve(config: ServeConfig | None = None, runner: Any = None) -> int:
+async def serve(config: ServeConfig | None = None) -> int:
     """Run a server until a signal or an admin shutdown stops it."""
     import signal
 
-    server = SimulationServer(config, runner=runner)
+    server = SimulationServer(config)
     await server.start()
     loop = asyncio.get_running_loop()
     for signum in (signal.SIGINT, signal.SIGTERM):

@@ -32,7 +32,6 @@ class ServerThread:
         self,
         config: ServeConfig | None = None,
         cache=None,
-        runner=None,
         drain_on_exit: bool = True,
         start_timeout: float = 10.0,
     ) -> None:
@@ -40,7 +39,6 @@ class ServerThread:
             port=0, executor="thread", state_dir=None
         )
         self._cache = cache
-        self._runner = runner
         self.drain_on_exit = drain_on_exit
         self.start_timeout = start_timeout
         self.server: SimulationServer | None = None
@@ -67,9 +65,7 @@ class ServerThread:
         asyncio.set_event_loop(loop)
         self._loop = loop
         try:
-            self.server = SimulationServer(
-                self.config, cache=self._cache, runner=self._runner
-            )
+            self.server = SimulationServer(self.config, cache=self._cache)
             loop.run_until_complete(self.server.start())
             self.port = self.server.port
         except BaseException as error:  # surfaced to start()
@@ -109,26 +105,6 @@ class ServerThread:
                             raise
                     except (concurrent.futures.CancelledError, RuntimeError):
                         break
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-
-    def kill(self) -> None:
-        """Simulate a crash: abort without draining or journalling.
-
-        Queued and running jobs stay open in the journal exactly as a
-        real process death would leave them — the cluster recovery
-        tests restart a worker from this state.
-        """
-        if self.server is None or self._loop is None:
-            return
-        if not self._loop.is_closed():
-            try:
-                future = asyncio.run_coroutine_threadsafe(
-                    self.server.abort(), self._loop
-                )
-                future.result(timeout=30.0)
-            except (RuntimeError, concurrent.futures.CancelledError):
-                pass
         if self._thread is not None:
             self._thread.join(timeout=10.0)
 

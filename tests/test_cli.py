@@ -28,6 +28,14 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["figures", "--scale", "gigantic"])
 
+    @pytest.mark.parametrize("argv", [["bench", "--cluster", "2"],
+                                      ["serve", "--cluster", "2"],
+                                      ["check", "cluster"]])
+    def test_cluster_surface_is_gone(self, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+
 
 class TestCheckCommand:
     def test_clean_sweep_exits_zero(self, capsys):

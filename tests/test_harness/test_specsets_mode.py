@@ -1,9 +1,10 @@
 """Mode handling in the per-figure spec sets (satellite of phase 2).
 
-Every figure's fast spec set must (a) execute end-to-end on the
-vectorized engine with verified results, (b) key the result cache
-separately from its event twin, and (c) be accepted by the simulation
-service like any other spec.
+Every fast-capable figure's fast spec set must (a) execute end-to-end
+on the vectorized engine with verified results, (b) key the result
+cache separately from its event twin, and (c) be accepted by the
+simulation service like any other spec. The other families must
+refuse fast mode.
 """
 
 import dataclasses
@@ -12,7 +13,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.harness.common import Scale
-from repro.harness.specsets import SPEC_FIGURES, figure_specs
+from repro.harness.specsets import FAST_FIGURES, SPEC_FIGURES, figure_specs
 from repro.perf.cache import ResultCache
 from repro.perf.specs import cache_key, execute_spec
 from repro.serve.protocol import DONE
@@ -33,7 +34,7 @@ TINY = Scale(
 def all_fast_specs():
     return [
         (figure, spec)
-        for figure in SPEC_FIGURES
+        for figure in FAST_FIGURES
         for spec in figure_specs(figure, TINY, mode="fast")
     ]
 
@@ -61,6 +62,9 @@ class TestFastSpecSets:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError):
             figure_specs("fig9", TINY, mode="approximate")
+        for figure in [f for f in SPEC_FIGURES if f not in FAST_FIGURES]:
+            with pytest.raises(ConfigError, match="mode='event'"):
+                figure_specs(figure, TINY, mode="fast")
 
     def test_event_sets_are_unchanged_by_the_mode_parameter(self):
         # mode="event" must produce byte-identical cache keys to the
@@ -86,7 +90,7 @@ class TestServeAcceptsFastSpecs:
         cache = ResultCache(tmp_path / "cache")
         with ServerThread(settings, cache=cache) as handle:
             client = handle.client()
-            for figure in SPEC_FIGURES:
+            for figure in FAST_FIGURES:
                 spec = figure_specs(figure, TINY, mode="fast")[0]
                 response = client.submit(spec, wait=True, timeout=60.0)
                 assert response["job"]["state"] == DONE, figure

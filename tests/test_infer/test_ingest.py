@@ -96,17 +96,6 @@ class TestExecution:
         assert gathered.result.dram_reads < scalar.result.dram_reads
         assert gathered.result.cycles < scalar.result.cycles
 
-    @pytest.mark.parametrize("rewrite", [False, True])
-    def test_fast_mode_matches_event(self, rewrite):
-        records = fixture_records()
-        event = run_ingested(records, rewrite=rewrite, config_overrides=THRASH)
-        fast = run_ingested(records, rewrite=rewrite, mode="fast",
-                            config_overrides=THRASH)
-        assert fast.values_digest == event.values_digest
-        assert fast.memory_digest == event.memory_digest
-        assert fast.result.dram_reads == event.result.dram_reads
-        assert fast.result.cycles == 0
-
     def test_generated_and_ingested_agree(self):
         """The same trace through replay-on-generator-machine and through
         ingest loads the same number of values."""

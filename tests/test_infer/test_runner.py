@@ -1,4 +1,4 @@
-"""Run / replay / mode-equivalence tests for the inference drivers."""
+"""Run / replay tests for the inference drivers."""
 
 import pathlib
 
@@ -18,16 +18,6 @@ FIXTURE = pathlib.Path(__file__).parent.parent / "data" / "gemv_baseline.trace"
 
 @pytest.mark.parametrize("workload", sorted(SMALL))
 class TestModes:
-    def test_event_and_fast_agree(self, workload):
-        event = run_infer(workload, "gs", mode="event", **SMALL[workload])
-        fast = run_infer(workload, "gs", mode="fast", **SMALL[workload])
-        assert event.verified and fast.verified
-        assert fast.cycles == 0 and event.cycles > 0
-        assert fast.answer == event.answer
-        assert fast.memory_digest == event.memory_digest
-        assert fast.result.dram_reads == event.result.dram_reads
-        assert fast.result.extra.get("fast_path") == 1.0
-
     def test_gs_beats_baseline_in_cycles(self, workload):
         baseline = run_infer(workload, "baseline", **SMALL[workload])
         gs = run_infer(workload, "gs", **SMALL[workload])
@@ -71,10 +61,6 @@ class TestValidation:
     def test_unknown_variant(self):
         with pytest.raises(ConfigError):
             run_infer("gemv", "rowstore")
-
-    def test_unknown_mode(self):
-        with pytest.raises(ConfigError):
-            run_infer("gemv", "gs", mode="warp")
 
     def test_pc_traffic_present_on_generated_runs(self):
         run = run_infer("gemv", "gs", **SMALL["gemv"])

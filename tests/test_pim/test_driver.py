@@ -11,63 +11,42 @@ TUPLES = 256
 
 @pytest.fixture(scope="module")
 def quadrants():
-    """All four (workload, variant) pairs in both modes, one table."""
+    """All four (workload, variant) pairs, one table."""
     return {
-        (workload, variant, mode): run_pim(
-            workload, variant, mode=mode, num_tuples=TUPLES
-        )
+        (workload, variant): run_pim(workload, variant, num_tuples=TUPLES)
         for workload in ("sum", "filter")
         for variant in ("gs", "pim")
-        for mode in ("event", "fast")
     }
 
 
 class TestQuadrants:
     def test_every_run_verifies(self, quadrants):
         assert all(run.verified for run in quadrants.values())
+        assert all(run.cycles > 0 for run in quadrants.values())
 
     @pytest.mark.parametrize("workload", ["sum", "filter"])
     def test_variants_agree_on_the_answer(self, quadrants, workload):
         answers = {
-            quadrants[(workload, variant, mode)].answer
+            quadrants[(workload, variant)].answer
             for variant in ("gs", "pim")
-            for mode in ("event", "fast")
         }
         assert len(answers) == 1
 
-    @pytest.mark.parametrize("workload", ["sum", "filter"])
-    @pytest.mark.parametrize("variant", ["gs", "pim"])
-    def test_modes_agree_on_the_memory_image(self, quadrants, workload,
-                                             variant):
-        event = quadrants[(workload, variant, "event")]
-        fast = quadrants[(workload, variant, "fast")]
-        assert event.memory_digest == fast.memory_digest
-        assert event.result.memory_accesses == fast.result.memory_accesses
-
-    def test_event_runs_have_cycles_fast_runs_do_not(self, quadrants):
-        for (_, _, mode), run in quadrants.items():
-            if mode == "event":
-                assert run.cycles > 0
-                assert run.work_proxy == run.cycles
-            else:
-                assert run.cycles == 0
-                assert run.work_proxy == run.result.memory_accesses
-
     def test_filter_moves_less_data(self, quadrants):
         # The mask readback is 1 line; the gather moves tuples/8 lines.
-        gs = quadrants[("filter", "gs", "event")]
-        pim = quadrants[("filter", "pim", "event")]
+        gs = quadrants[("filter", "gs")]
+        pim = quadrants[("filter", "pim")]
         assert pim.result.memory_accesses < gs.result.memory_accesses
 
     def test_sum_readback_is_per_slice_not_per_tuple(self, quadrants):
         # Sum readback cost scales with bit width (one line per
         # accumulator slice), not with the tuple count — the reason
         # its traffic win only appears at larger tables.
-        pim = quadrants[("sum", "pim", "event")]
+        pim = quadrants[("sum", "pim")]
         assert pim.result.memory_accesses < 64  # ~width lines, not 256/8
 
     def test_pim_run_records_command_mix(self, quadrants):
-        run = quadrants[("sum", "pim", "event")]
+        run = quadrants[("sum", "pim")]
         assert run.result.extra["cmd_MRA2"] > 0
         assert run.result.extra["cmd_MRA3"] > 0
         assert run.result.extra["cmd_SHIFT"] > 0
@@ -76,11 +55,11 @@ class TestQuadrants:
         assert stats["cmd_MRA3"] == run.result.extra["cmd_MRA3"]
 
     def test_pim_energy_counts_compute_commands(self, quadrants):
-        run = quadrants[("filter", "pim", "event")]
+        run = quadrants[("filter", "pim")]
         assert run.result.energy.dram.dynamic_mj > 0
 
     def test_params_record_threshold(self, quadrants):
-        run = quadrants[("filter", "pim", "event")]
+        run = quadrants[("filter", "pim")]
         assert run.params["threshold"] > 0
         assert run.params["num_tuples"] == TUPLES
 
@@ -94,10 +73,6 @@ class TestValidation:
         with pytest.raises(ConfigError):
             run_pim("sum", "cpu")
 
-    def test_unknown_mode(self):
-        with pytest.raises(ConfigError):
-            run_pim("sum", "gs", mode="warp")
-
 
 class TestSpecDispatch:
     def test_execute_spec_round_trip(self):
@@ -106,10 +81,8 @@ class TestSpecDispatch:
             params={"workload": "filter", "variant": "pim",
                     "num_tuples": TUPLES},
             seed=1,
-            mode="fast",
         )
         run = execute_spec(spec)
         assert run.verified
-        assert (run.workload, run.variant, run.mode) == ("filter", "pim",
-                                                         "fast")
+        assert (run.workload, run.variant) == ("filter", "pim")
         assert run.params["seed"] == 1

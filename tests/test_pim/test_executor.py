@@ -1,4 +1,4 @@
-"""Tests for the PIM executor: counters, timing cursors, mode parity."""
+"""Tests for the PIM executor: counters, timing cursors, readback."""
 
 import pytest
 
@@ -10,8 +10,8 @@ from repro.pim.executor import PIMExecutor
 SMALL = Geometry(chips=8, banks=2, rows_per_bank=8, columns_per_row=16)
 
 
-def make_executor(timed: bool = True) -> PIMExecutor:
-    return PIMExecutor(DRAMModule(geometry=SMALL), timed=timed)
+def make_executor() -> PIMExecutor:
+    return PIMExecutor(DRAMModule(geometry=SMALL))
 
 
 def run_program(ex: PIMExecutor) -> bytes:
@@ -54,41 +54,28 @@ class TestCounters:
 
 class TestTiming:
     def test_timed_cycles_positive_and_monotonic(self):
-        ex = make_executor(timed=True)
+        ex = make_executor()
         ex.mra(0, (0, 1), 2, "AND")
         first = ex.cycles
         ex.mra(0, (2, 3), 4, "OR")
         assert 0 < first < ex.cycles
 
     def test_mra_matches_bank_window(self):
-        ex = make_executor(timed=True)
+        ex = make_executor()
         ex.mra(0, (0, 1), 2, "AND")
         assert ex.cycles == ex.module.timing.t_mra(2)
 
     def test_banks_overlap(self):
-        serial = make_executor(timed=True)
+        serial = make_executor()
         serial.mra(0, (0, 1), 2, "AND")
         serial.mra(0, (3, 4), 5, "AND")
-        overlapped = make_executor(timed=True)
+        overlapped = make_executor()
         overlapped.mra(0, (0, 1), 2, "AND")
         overlapped.mra(1, (3, 4), 5, "AND")
         # Different banks only serialise on the command bus slot.
         assert overlapped.cycles < serial.cycles
         assert overlapped.cycles == (
             overlapped.module.timing.t_mra(2) + overlapped.module.cpu_per_bus
-        )
-
-    def test_untimed_reports_zero_cycles(self):
-        ex = make_executor(timed=False)
-        run_program(ex)
-        assert ex.cycles == 0
-
-    def test_modes_agree_functionally(self):
-        timed, untimed = make_executor(True), make_executor(False)
-        assert run_program(timed) == run_program(untimed)
-        assert dict(timed.stats.as_dict()) == dict(untimed.stats.as_dict())
-        assert timed.module.rank.read_row(0, 5) == untimed.module.rank.read_row(
-            0, 5
         )
 
 

@@ -14,9 +14,9 @@ from repro.pim.ops import SliceChunk, chunk_values
 GEOMETRY = Geometry(chips=8, banks=2, rows_per_bank=512, columns_per_row=16)
 
 
-def make_chunk(values: np.ndarray, width_in: int, timed: bool = False):
+def make_chunk(values: np.ndarray, width_in: int):
     module = DRAMModule(geometry=GEOMETRY)
-    executor = PIMExecutor(module, timed=timed)
+    executor = PIMExecutor(module)
     policy = PIMRowGroupPolicy(module)
     return SliceChunk(executor, policy, 0, values, width_in)
 
@@ -43,7 +43,7 @@ class TestSumReduce:
 
     def test_timed_run_same_answer(self):
         values = random_values(40, 8, seed=5)
-        chunk = make_chunk(values, width_in=8, timed=True)
+        chunk = make_chunk(values, width_in=8)
         chunk.sum_reduce()
         assert chunk.read_sum()[0] == int(values.sum())
         assert chunk.ex.cycles > 0
@@ -85,7 +85,7 @@ class TestRowGroupFootprint:
         values = random_values(10, 4, seed=2)
         module = DRAMModule(geometry=GEOMETRY)
         policy = PIMRowGroupPolicy(module)
-        chunk = SliceChunk(PIMExecutor(module, timed=False), policy, 1,
+        chunk = SliceChunk(PIMExecutor(module), policy, 1,
                            values, 4)
         assert policy.reserved_rows(1) == 4 * chunk.width + 13
 

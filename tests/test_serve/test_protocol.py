@@ -50,6 +50,8 @@ class TestSpecWire:
         """RunSpec's own validation fires through the wire decoder."""
         with pytest.raises(ConfigError):
             spec_from_wire({"kind": "patternscan", "mode": "warp"})
+        with pytest.raises(ConfigError, match="mode='event'"):
+            spec_from_wire({"kind": "pim", "mode": "fast"})
 
 
 class TestResultWire:
@@ -137,62 +139,12 @@ class TestSubmitRequest:
         with pytest.raises(ProtocolError, match="client"):
             parse_submit_request(body)
 
+    def test_shard_key_from_an_old_client_is_ignored(self):
+        # Older clients may still send a "shard" key. Unknown submit
+        # keys are ignored, so they keep working with no protocol bump.
+        body = json.loads(json.dumps(submit_request(self._spec())))
+        body["shard"] = 3
+        fields = parse_submit_request(body)
+        assert "shard" not in fields
+        assert cache_key(fields["spec"]) == cache_key(self._spec())
 
-def _spec() -> RunSpec:
-    return RunSpec(
-        kind="patternscan",
-        params={"variant": "scalar", "stride": 2, "lines": 8},
-        mode="fast",
-    )
-
-
-class TestShardField:
-    def test_unset_by_default(self):
-        body = submit_request(_spec())
-        assert "shard" not in body
-        assert parse_submit_request(body)["shard"] is None
-
-    def test_round_trips(self):
-        body = json.loads(json.dumps(submit_request(_spec(), shard=3)))
-        assert parse_submit_request(body)["shard"] == 3
-
-    def test_zero_is_a_valid_shard(self):
-        body = submit_request(_spec(), shard=0)
-        assert parse_submit_request(body)["shard"] == 0
-
-    def test_negative_rejected(self):
-        body = submit_request(_spec())
-        body["shard"] = -1
-        with pytest.raises(ProtocolError, match="shard"):
-            parse_submit_request(body)
-
-    def test_bool_rejected(self):
-        body = submit_request(_spec())
-        body["shard"] = True
-        with pytest.raises(ProtocolError, match="shard"):
-            parse_submit_request(body)
-
-
-class TestReconcileDigests:
-    def test_single_digest_wins(self):
-        agreed = protocol.reconcile_digests({"worker-0/j-1": "abc"})
-        assert agreed == "abc"
-
-    def test_agreeing_attempts_pass(self):
-        agreed = protocol.reconcile_digests({
-            "worker-0/j-1": "abc",
-            "worker-1/j-2": "abc",
-            "worker-2/j-3": None,  # never finished: no vote
-        })
-        assert agreed == "abc"
-
-    def test_disagreement_raises(self):
-        with pytest.raises(ProtocolError, match="disagree"):
-            protocol.reconcile_digests({
-                "worker-0/j-1": "abc",
-                "worker-1/j-2": "def",
-            })
-
-    def test_no_digest_at_all_raises(self):
-        with pytest.raises(ProtocolError, match="no attempt"):
-            protocol.reconcile_digests({"worker-0/j-1": None})

@@ -19,7 +19,7 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from repro.harness.common import QUICK
-from repro.harness.specsets import SPEC_FIGURES, figure_specs, spec_label
+from repro.harness.specsets import FAST_FIGURES, figure_specs, spec_label
 from repro.perf.specs import execute_spec
 
 RESULTS = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "results"
@@ -39,7 +39,7 @@ def golden_record(figure: str) -> dict:
 
 
 def main() -> None:
-    for figure in SPEC_FIGURES:
+    for figure in FAST_FIGURES:
         payload = golden_record(figure)
         path = RESULTS / f"fastmode_{figure}.json"
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -2,18 +2,20 @@
 
 The fast path (:mod:`repro.vec`) claims *bit-identical functional
 results* on its supported configurations — not approximately equal, not
-statistically close. This module makes that claim falsifiable on three
-levels, mirroring how the differential oracle treats the timed machine:
+statistically close. This module makes that claim falsifiable in four
+stages, mirroring how the differential oracle treats the timed machine:
 
 1. **Random traces** (:func:`run_trace_pair`) — the differential
-   generator's traces run on :class:`repro.sim.System` and
-   :class:`repro.vec.fastpath.FastSystem` side by side; every loaded
-   value, the final memory images, the functional result fields, and
-   the full controller / cache statistic dictionaries must be equal.
+   generator's traces run on :class:`repro.sim.System` and replay
+   through :class:`repro.vec.hier.DirtyReplay`; the functional result
+   fields and the full controller / L1 / L2 / hierarchy / DBI
+   statistic dictionaries must be equal. Loaded bytes and memory
+   images are the differential stage's job: ``DirtyReplay`` moves no
+   bytes.
 2. **Pattern sweep** (:func:`run_sweep_equivalence`) — the fig7-style
    strided-scan sweep in both :func:`repro.harness.patternscan` modes;
-   hit/miss totals, gathered-value digests, and per-bank row-locality
-   profiles must be equal.
+   result fields, every per-component statistic, gathered-value
+   digests, and per-bank row-locality profiles must be equal.
 3. **Ablation grid** (:func:`run_grid_equivalence`) — an abl-3-shaped
    transactions + analytics grid across layouts and table sizes, run
    through the real drivers in both modes; functional counts, *every
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.check.differential import differential_configs, _initial_bytes
+from repro.check.differential import differential_configs
 from repro.check.strategies import TraceSpec, random_trace
 from repro.cpu.isa import Compute, Load, Store
 from repro.db.engine import run_analytics, run_transactions
@@ -43,7 +45,9 @@ from repro.harness.common import Scale
 from repro.perf.specs import make_layout
 from repro.sim.config import SystemConfig
 from repro.sim.system import System
-from repro.vec.fastpath import FastSystem, fast_supported
+from repro.vec.hier import DirtyReplay, fast_supported
+from repro.vec.shim import component_snapshot
+from repro.vm.pattmalloc import PattAllocator
 
 #: RunResult fields the fast path must reproduce exactly. Timing
 #: outputs (cycles, energy, queue delays, engine events) are excluded
@@ -184,60 +188,69 @@ def fast_configs() -> list[SystemConfig]:
 
 
 # ----------------------------------------------------------------------
-# 1. Random traces: System vs FastSystem, full-state comparison
+# 1. Random traces: System vs DirtyReplay, full-stat comparison
 # ----------------------------------------------------------------------
 def run_trace_pair(config: SystemConfig, trace: TraceSpec) -> FastPathReport:
-    """Run one trace on both substrates and diff everything observable."""
+    """Run one trace on both substrates and diff every statistic."""
     report = FastPathReport(runs=1)
     where = f"trace seed={trace.seed}"
+    geometry = config.geometry
+    line_bytes = geometry.line_bytes
+    ops = trace.ops_for_core(0)
 
-    def execute(system):
-        line_bytes = system.module.line_bytes
-        bases = []
-        for index, region in enumerate(trace.regions):
-            base = system.pattmalloc(
-                region.lines * line_bytes,
-                shuffle=region.shuffled,
-                pattern=region.alt_pattern,
-            )
-            system.mem_write(
-                base, _initial_bytes(trace.seed, index, region.lines * line_bytes)
-            )
-            bases.append(base)
-        loaded: list[bytes] = []
+    def allocate(pattmalloc) -> list[int]:
+        return [
+            pattmalloc(region.lines * line_bytes, shuffle=region.shuffled,
+                       pattern=region.alt_pattern)
+            for region in trace.regions
+        ]
 
-        def ops():
-            for op in trace.ops_for_core(0):
+    def event_side():
+        system = System(config)
+        bases = allocate(system.pattmalloc)
+
+        def program():
+            for op in ops:
                 if op.kind == "compute":
                     yield Compute(op.cycles)
                     continue
                 address = bases[op.region] + op.line * line_bytes + op.offset
                 if op.kind == "load":
-                    yield Load(address, size=op.size, pattern=op.pattern,
-                               on_value=loaded.append)
+                    yield Load(address, size=op.size, pattern=op.pattern)
                 else:
                     yield Store(address, op.payload, pattern=op.pattern)
 
-        result = system.run([ops()])
-        images = [
-            system.mem_read(base, region.lines * line_bytes)
-            for base, region in zip(bases, trace.regions)
-        ]
-        stats = {
-            "controller": dict(system.controller.stats.as_dict()),
-            "l1": dict(system.hierarchy.l1s[0].stats.as_dict()),
-            "l2": dict(system.hierarchy.l2.stats.as_dict()),
-            "hierarchy": dict(system.hierarchy.stats.as_dict()),
-        }
-        return result, loaded, images, stats
+        return system.run([program()]), component_snapshot(system)
+
+    def fast_side():
+        # The same bump allocator System uses, so addresses match.
+        bases = allocate(PattAllocator(
+            capacity_bytes=geometry.capacity_bytes,
+            line_bytes=line_bytes,
+            row_bytes=geometry.row_bytes,
+        ).pattmalloc)
+        accesses = [op for op in ops if op.kind != "compute"]
+        regions = [trace.regions[op.region] for op in accesses]
+        replay = DirtyReplay(config)
+        replay.run(
+            [bases[op.region] + op.line * line_bytes for op in accesses],
+            [op.pattern for op in accesses],
+            [region.alt_pattern for region in regions],
+            [op.kind == "store" for op in accesses],
+            [region.shuffled for region in regions],
+        )
+        stores = sum(op.kind == "store" for op in accesses)
+        computed = sum(op.cycles for op in ops if op.kind == "compute")
+        result = replay.collect_result(
+            instructions=computed + len(accesses),
+            loads=len(accesses) - stores,
+            stores=stores,
+        )
+        return result, replay.component_stats()
 
     try:
-        event_result, event_loaded, event_images, event_stats = execute(
-            System(config)
-        )
-        fast_result, fast_loaded, fast_images, fast_stats = execute(
-            FastSystem(config)
-        )
+        event_result, event_stats = event_side()
+        fast_result, fast_stats = fast_side()
     except ReproError as error:
         report.divergences.append(
             FastPathDivergence(
@@ -246,31 +259,8 @@ def run_trace_pair(config: SystemConfig, trace: TraceSpec) -> FastPathReport:
         )
         return report
 
-    if len(event_loaded) != len(fast_loaded):
-        report.divergences.append(
-            FastPathDivergence(
-                where,
-                f"load count: event={len(event_loaded)} fast={len(fast_loaded)}",
-            )
-        )
-    else:
-        for index, (a, b) in enumerate(zip(event_loaded, fast_loaded)):
-            report.values_compared += 1
-            if a != b:
-                report.divergences.append(
-                    FastPathDivergence(
-                        where,
-                        f"load #{index}: event={a.hex()} fast={b.hex()}",
-                    )
-                )
-    for index, (a, b) in enumerate(zip(event_images, fast_images)):
-        report.values_compared += 1
-        if a != b:
-            report.divergences.append(
-                FastPathDivergence(where, f"memory image of region {index}")
-            )
     _compare_result_fields(where, event_result, fast_result, report)
-    for component in ("controller", "l1", "l2", "hierarchy"):
+    for component in STAT_COMPONENTS:
         _compare_stat_dicts(
             where, component, event_stats[component], fast_stats[component],
             report,
@@ -299,7 +289,7 @@ def run_trace_equivalence(
 # 2. Pattern sweep: run_patternscan in both modes
 # ----------------------------------------------------------------------
 def run_sweep_equivalence(lines: int = 256) -> FastPathReport:
-    """The fig7-style strided sweep: counts, values digest, row profile."""
+    """The fig7-style strided sweep: full stats, values digest, row profile."""
     from repro.harness.patternscan import SWEEP_STRIDES, VARIANTS, run_patternscan
 
     report = FastPathReport()
@@ -309,23 +299,14 @@ def run_sweep_equivalence(lines: int = 256) -> FastPathReport:
             where = f"sweep {variant} stride={stride}"
             event = run_patternscan(variant, stride, lines=lines, mode="event")
             fast = run_patternscan(variant, stride, lines=lines, mode="fast")
-            _compare_result_fields(where, event.result, fast.result, report)
-            for name in ("answer", "verified", "values_digest"):
+            _compare_records(where, event, fast, report)
+            for name in ("values_digest", "row_profile"):
                 report.values_compared += 1
                 a, b = getattr(event, name), getattr(fast, name)
                 if a != b:
                     report.divergences.append(
                         FastPathDivergence(where, f"{name}: event={a} fast={b}")
                     )
-            report.values_compared += 1
-            if event.row_profile != fast.row_profile:
-                report.divergences.append(
-                    FastPathDivergence(
-                        where,
-                        f"row_profile: event={event.row_profile} "
-                        f"fast={fast.row_profile}",
-                    )
-                )
     return report
 
 

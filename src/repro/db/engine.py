@@ -51,37 +51,31 @@ def layout_config(layout: StorageLayout, cores: int = 1,
 
 
 def system_for(layout: StorageLayout, cores: int = 1, prefetch: bool = False,
-               mode: str = "event", **overrides):
-    """A machine matched to the layout's substrate.
-
-    ``mode="fast"`` builds a :class:`repro.vec.fastpath.FastSystem`
-    (same caches and DRAM module, timing-free controller) instead of
-    the event-driven :class:`System`; it raises
-    :class:`~repro.errors.ConfigError` for configurations whose
-    functional behaviour depends on timing (see docs/PERFORMANCE.md).
-    """
-    config = layout_config(layout, cores=cores, prefetch=prefetch, **overrides)
-    if mode == "fast":
-        from repro.vec.fastpath import FastSystem
-
-        return FastSystem(config)
-    if mode != "event":
-        raise ConfigError(f"unknown run mode {mode!r}")
-    return System(config)
+               **overrides) -> System:
+    """An event-driven machine matched to the layout's substrate."""
+    return System(
+        layout_config(layout, cores=cores, prefetch=prefetch, **overrides)
+    )
 
 
 def _vectorized(layout: StorageLayout, mode: str) -> bool:
-    """True when this run should use the vectorized (no-machine) engine.
+    """True when this run uses the vectorized (no-machine) engine.
 
-    ``PartialGatherStore`` and other subclasses still run ``mode="fast"``
-    on :class:`~repro.vec.fastpath.FastSystem` (real hierarchy, frozen
-    clock); only the three exactly-modelled layouts skip the machine.
+    ``mode="fast"`` exists only for the layouts :mod:`repro.vec.db`
+    models exactly; any other layout (``PartialGatherStore``, for one)
+    raises :class:`~repro.errors.ConfigError`.
     """
-    if mode != "fast":
+    if mode == "event":
         return False
+    if mode != "fast":
+        raise ConfigError(f"unknown run mode {mode!r}")
     from repro.vec.db import fast_layout_supported
 
-    return fast_layout_supported(layout)
+    if not fast_layout_supported(layout):
+        raise ConfigError(
+            f"no fast path for layout {layout.name!r}; use mode='event'"
+        )
+    return True
 
 
 @dataclass
@@ -141,7 +135,7 @@ def run_transactions(
         rows = make_rows(schema, num_tuples)
         txns = generate_transactions(schema, num_tuples, mix, count, seed)
     with timer.stage("setup"):
-        system = system_for(layout, prefetch=prefetch, mode=mode,
+        system = system_for(layout, prefetch=prefetch,
                             **(config_overrides or {}))
         layout.attach(system, num_tuples)
         layout.load_rows(rows)
@@ -209,7 +203,7 @@ def run_analytics(
     with timer.stage("generate"):
         rows = make_rows(schema, num_tuples)
     with timer.stage("setup"):
-        system = system_for(layout, prefetch=prefetch, mode=mode,
+        system = system_for(layout, prefetch=prefetch,
                             **(config_overrides or {}))
         layout.attach(system, num_tuples)
         layout.load_rows(rows)
@@ -400,7 +394,7 @@ def _run_htap_phased(
             seed=workload.txn_seed + 1,
         )
     with timer.stage("setup"):
-        system = system_for(layout, prefetch=prefetch, mode=mode,
+        system = system_for(layout, prefetch=prefetch,
                             **(config_overrides or {}))
         layout.attach(system, num_tuples)
         layout.load_rows(rows)

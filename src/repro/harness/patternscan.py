@@ -12,9 +12,10 @@ Two execution modes produce bit-identical functional results:
   :func:`repro.harness.ablations.run_pattern_sweep` builds it (same
   config, same allocation, same op stream, same PCs). Timing outputs
   (cycles, queue delays) are meaningful.
-- ``mode="fast"`` — no machine at all: the access stream, the cache
-  behaviour, the gathered values, and the row-buffer locality are all
-  computed with the batched kernels of :mod:`repro.vec`. Timing outputs
+- ``mode="fast"`` — no machine at all: the access stream and the
+  gathered values come from the batched kernels of :mod:`repro.vec`,
+  and the cache behaviour and row-buffer locality from replaying that
+  stream through :class:`~repro.vec.hier.DirtyReplay`. Timing outputs
   are zero.
 
 Equivalence between the two is not assumed: :mod:`repro.check.fastpath`
@@ -35,23 +36,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cpu.isa import Compute, Load, pattload
-from repro.energy.model import system_energy
+from repro.dram.address import MappingPolicy
 from repro.errors import ConfigError, WorkloadError
-from repro.obs.session import current_session
 from repro.perf.specs import RunSpec
 from repro.sim.config import SystemConfig, table1_config
 from repro.sim.results import RunResult, StageTimer
 from repro.sim.system import System
 from repro.utils.bitops import is_power_of_two
-from repro.vec.kernels import decompose_addresses, gather_addresses_batch
-from repro.vec.replay import (
-    AccessTrace,
-    ReplayCache,
-    dedupe_consecutive,
-    replay_two_level,
-    row_locality,
-)
-from repro.vec.shim import machine_shim
+from repro.vec.hier import DirtyReplay
+from repro.vec.kernels import gather_addresses_batch
+from repro.vec.shim import component_snapshot
 from repro.vm.pattmalloc import PattAllocator
 
 #: Strides of the standard sweep: every multi-value stride the 3-bit
@@ -78,12 +72,25 @@ class PatternScanRun:
     #: Row-buffer locality of the DRAM read stream (RowProfile.as_dict
     #: shape: totals + per-bank counts).
     row_profile: dict = field(default_factory=dict)
+    #: Per-component stat dicts (controller/l1/l2/hierarchy/dbi) for the
+    #: event-vs-fast equivalence battery.
+    component_stats: dict | None = None
 
 
-def _scan_config(config_overrides: dict | None) -> SystemConfig:
+def _scan_config(variant: str, config_overrides: dict | None) -> SystemConfig:
     overrides = {"l2_size": 64 * 1024}
     overrides.update(config_overrides or {})
-    return table1_config(**overrides)
+    config = table1_config(**overrides)
+    # The gathered scan steps ``stride`` columns per gather, which
+    # assumes consecutive lines share a DRAM row.
+    if (variant == "gathered"
+            and config.mapping_policy is not MappingPolicy.ROW_BANK_COLUMN):
+        raise ConfigError(
+            "the gathered scan needs mapping_policy="
+            f"{MappingPolicy.ROW_BANK_COLUMN.value!r}, got "
+            f"{config.mapping_policy.value!r}"
+        )
+    return config
 
 
 def _check_point(variant: str, stride: int, lines: int) -> None:
@@ -135,7 +142,7 @@ def _run_event(
 ) -> PatternScanRun:
     timer = StageTimer()
     with timer.stage("setup"):
-        config = _scan_config(config_overrides)
+        config = _scan_config(variant, config_overrides)
         pattern = stride - 1
         total_values = lines * 8
 
@@ -191,6 +198,7 @@ def _run_event(
         verified=answer == expected,
         values_digest=hashlib.sha256(b"".join(chunks)).hexdigest(),
         row_profile=_profile_from_commands(system.controller.command_trace),
+        component_stats=component_snapshot(system),
     )
 
 
@@ -230,16 +238,16 @@ def _profile_from_commands(command_trace) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Fast mode: batched kernels, no machine
+# Fast mode: batched kernels + DirtyReplay, no machine
 # ----------------------------------------------------------------------
 def _run_fast(
     variant: str, stride: int, lines: int, config_overrides: dict | None
 ) -> PatternScanRun:
     timer = StageTimer()
     with timer.stage("setup"):
-        config = _scan_config(config_overrides)
+        config = _scan_config(variant, config_overrides)
         geometry = config.geometry
-        line_bytes = geometry.chips * geometry.column_bytes
+        line_bytes = geometry.line_bytes
         pattern = stride - 1
         total_values = lines * 8
 
@@ -276,7 +284,9 @@ def _run_fast(
                 column_bytes=geometry.column_bytes,
                 shuffle_stages=config.shuffle_stages,
                 pattern_bits=config.pattern_bits,
-                bank_interleaved=False,
+                bank_interleaved=(
+                    config.mapping_policy is MappingPolicy.BANK_INTERLEAVED
+                ),
             )
             source_indices = slots - base
             if source_indices.size and (
@@ -291,93 +301,29 @@ def _run_fast(
             line_addresses = np.repeat(gathered_lines, geometry.chips)
             patterns = np.full_like(line_addresses, pattern)
 
-        # Cache behaviour: consecutive same-line accesses are guaranteed
-        # MRU L1 hits (dropped, counted as hits); the rest replay
-        # through the two-level LRU arrays.
-        trace = AccessTrace(line_addresses, patterns)
-        keep = dedupe_consecutive(trace)
-        kept = AccessTrace(line_addresses[keep], patterns[keep])
-        l1 = ReplayCache(config.l1_size, config.l1_assoc, line_bytes)
-        l2 = ReplayCache(config.l2_size, config.l2_assoc, line_bytes)
-        l1_hit_mask, l2_hit_mask = replay_two_level(kept, l1, l2)
-
-        accesses = len(trace)
-        deduped_hits = int((~keep).sum())
-        l1_hits = deduped_hits + int(l1_hit_mask.sum())
-        l1_misses = accesses - l1_hits
-        l2_hits = int(l2_hit_mask.sum())
-        l2_misses = l1_misses - l2_hits
-
-        # DRAM read stream (service order == program order) -> locality.
-        dram_lines = kept.line_addresses[~l1_hit_mask & ~l2_hit_mask]
-        coords = decompose_addresses(
-            dram_lines,
-            banks=geometry.banks,
-            rows_per_bank=geometry.rows_per_bank,
-            columns_per_row=geometry.columns_per_row,
-            line_bytes=line_bytes,
-            policy=config.mapping_policy,
+        # Every access is a load from the region pattmalloc'd above
+        # (shuffled, alternate pattern ``pattern``).
+        accesses = int(line_addresses.size)
+        replay = DirtyReplay(config)
+        replay.run(
+            line_addresses,
+            patterns,
+            np.full(accesses, pattern, dtype=np.int64),
+            np.zeros(accesses, dtype=bool),
+            np.ones(accesses, dtype=bool),
         )
-        profile = row_locality(coords["bank"], coords["row"])
+        result = replay.collect_result(
+            instructions=2 * accesses, loads=accesses, stores=0
+        )
+        profile = replay.row_profile()
 
     with timer.stage("verify"):
         answer = int(values.sum())
         expected = sum(range(0, total_values, stride))
         digest = hashlib.sha256(values.astype("<u8").tobytes()).hexdigest()
 
-    energy = system_energy(
-        runtime_cycles=0,
-        instructions=2 * accesses,
-        l1_accesses=accesses,
-        l2_accesses=l1_misses,
-        command_counts={
-            "cmd_RD": l2_misses,
-            "cmd_ACT": profile.activates,
-            "cmd_PRE": profile.precharges,
-        },
-        cores=1,
-        cpu_ghz=config.cpu_ghz,
-    )
-    result = RunResult(
-        mechanism=config.mechanism.value,
-        cycles=0,
-        instructions=2 * accesses,
-        loads=accesses,
-        stores=0,
-        l1_hits=l1_hits,
-        l1_misses=l1_misses,
-        l2_hits=l2_hits,
-        l2_misses=l2_misses,
-        dram_reads=l2_misses,
-        dram_writes=0,
-        row_hits=profile.row_hits,
-        row_misses=profile.row_misses,
-        prefetches=0,
-        coherence_invalidations=0,
-        writebacks=0,
-        energy=energy,
-        extra={
-            "engine_events": 0.0,
-            "mean_memory_queue_delay": 0.0,
-            "auto_gathers": 0.0,
-            "stores_overlapped": 0.0,
-            "mshr_merges": 0.0,
-            "snoop_flushes": 0.0,
-            "fast_path": 1.0,
-        },
-    )
-
     timer.attach(result)
-    session = current_session()
-    if session is not None:
-        session.attach(
-            _snapshot_shim(
-                config, result,
-                patterned_reads=l2_misses if variant == "gathered" else 0,
-                l1_cache=l1, l2_cache=l2, profile=profile,
-            )
-        )
-
+    replay.attach_session(result)
     return PatternScanRun(
         variant=variant,
         stride=stride,
@@ -389,54 +335,5 @@ def _run_fast(
         verified=answer == expected,
         values_digest=digest,
         row_profile=profile.as_dict(),
-    )
-
-
-def _snapshot_shim(
-    config: SystemConfig,
-    result: RunResult,
-    patterned_reads: int,
-    l1_cache: ReplayCache,
-    l2_cache: ReplayCache,
-    profile,
-):
-    """A registry-attachable stand-in for the machine a fast scan skips.
-
-    Fast-path runs must still emit metrics snapshots; the count dicts
-    here feed :func:`repro.vec.shim.machine_shim`, which exposes the
-    component shape ``ObsSession.attach`` walks under the same stat
-    names the real components use.
-    """
-
-    def cache_counts(cache: ReplayCache, hits: int, misses: int) -> dict:
-        # Fills == misses; evictions are fills that displaced a line.
-        return {
-            "hits": hits,
-            "misses": misses,
-            "fills": misses,
-            "evictions": max(0, misses - int((cache.tags != -1).sum())),
-        }
-
-    return machine_shim(
-        config,
-        core_counts={
-            "instructions": result.instructions,
-            "loads": result.loads,
-            "misses_blocked": result.l2_misses,
-            "finished": 1,
-        },
-        # L1 fills come from both L2 hits and L2 misses; only L2 misses
-        # fill L2 itself.
-        l1_counts=cache_counts(l1_cache, result.l1_hits, result.l1_misses),
-        l2_counts=cache_counts(l2_cache, result.l2_hits, result.l2_misses),
-        controller_counts={
-            "requests": result.dram_reads,
-            "requests_read": result.dram_reads,
-            "requests_patterned": patterned_reads,
-            "cmd_RD": result.dram_reads,
-            "cmd_ACT": profile.activates,
-            "cmd_PRE": profile.precharges,
-            "row_hits": profile.row_hits,
-            "row_misses": profile.row_misses,
-        },
+        component_stats=replay.component_stats(),
     )

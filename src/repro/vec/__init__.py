@@ -10,20 +10,17 @@ batches that math over whole ``numpy`` int64 arrays:
   and bit utilities. The scalar functions in :mod:`repro.core.shuffle`,
   :mod:`repro.core.pattern`, :mod:`repro.core.ctl`, and
   :mod:`repro.utils.bitops` remain the reference implementations.
-- :mod:`repro.vec.replay` — a batched trace-replay cache model
-  (set/tag/LRU-stamp arrays, pattern ID in the tag per Section 4.1)
-  plus vectorized row-hit/bank-conflict analytics.
-- :mod:`repro.vec.fastpath` — :class:`FastSystem`, a drop-in for
-  :class:`repro.sim.System` that runs the *same* cache hierarchy with
-  an immediate (timing-free) memory controller, for workloads whose
-  functional results do not depend on timing.
-- :mod:`repro.vec.hier` — :class:`DirtyReplay`, a metadata-only replay
-  of the full hierarchy + DBI + controller accounting over prepared
-  address arrays (no simulated machine, no byte movement).
-- :mod:`repro.vec.db` / :mod:`repro.vec.gemm` — phase 2: vectorized
-  twins of the DB query engines (:mod:`repro.db.engine`) and the GEMM
-  kernels (:mod:`repro.gemm.autotune`), dispatched via ``mode="fast"``
-  on the drivers and stat-identical to the event machine.
+- :mod:`repro.vec.hier` — :class:`DirtyReplay`, the fast path's one
+  model of the caches, the DBI and the controller: a metadata-only
+  replay of their accounting over prepared address arrays (no
+  simulated machine, no byte movement, pattern ID in the tag per
+  Section 4.1), plus the :func:`assert_fast_compatible` gate.
+- :mod:`repro.vec.db` / :mod:`repro.vec.gemm` — vectorized twins of
+  the DB query engines (:mod:`repro.db.engine`) and the GEMM kernels
+  (:mod:`repro.gemm.autotune`), dispatched via ``mode="fast"`` on the
+  drivers and stat-identical to the event machine. The fig7 sweep
+  (:mod:`repro.harness.patternscan`) drives :class:`DirtyReplay`
+  directly.
 - :mod:`repro.vec.shim` — observability stand-ins so fast runs appear
   in :mod:`repro.obs` sessions with the same stat names as real
   machines, and the event-side component snapshot the equivalence
@@ -33,8 +30,12 @@ Equivalence with the event-driven model is enforced by
 :mod:`repro.check.fastpath` (see docs/PERFORMANCE.md).
 """
 
-from repro.vec.fastpath import FastSystem, assert_fast_compatible, fast_supported
-from repro.vec.hier import DirtyReplay
+from repro.vec.hier import (
+    DirtyReplay,
+    RowProfile,
+    assert_fast_compatible,
+    fast_supported,
+)
 from repro.vec.kernels import (
     ctl_translate,
     decompose_addresses,
@@ -48,33 +49,19 @@ from repro.vec.kernels import (
     unshuffle_lines,
     xor_fold_array,
 )
-from repro.vec.replay import (
-    AccessTrace,
-    ReplayCache,
-    RowProfile,
-    dedupe_consecutive,
-    replay_two_level,
-    row_locality,
-)
 
 __all__ = [
-    "AccessTrace",
     "DirtyReplay",
-    "FastSystem",
-    "ReplayCache",
     "RowProfile",
     "assert_fast_compatible",
     "ctl_translate",
     "decompose_addresses",
-    "dedupe_consecutive",
     "effective_chip_ids",
     "encode_addresses",
     "fast_supported",
     "gather_addresses_batch",
     "gathered_value_indices",
-    "replay_two_level",
     "reverse_bits_array",
-    "row_locality",
     "shuffle_keys",
     "shuffle_lines",
     "unshuffle_lines",

@@ -19,10 +19,9 @@ over the workload arrays, and the functional answers are pure numpy:
   :func:`~repro.vec.kernels.gather_addresses_batch`, so a bug in the
   gather math breaks verification instead of hiding.
 
-Only the exact layout classes are supported (``PartialGatherStore``
-subclasses ``GSDRAMStore`` but scans with different patterns/PCs — it
-falls back to :class:`~repro.vec.fastpath.FastSystem` in the engine
-dispatch).
+Only the exact layout classes are supported. ``PartialGatherStore``
+subclasses ``GSDRAMStore`` but scans with different patterns/PCs, so
+the engine dispatch rejects it in fast mode with a ``ConfigError``.
 """
 
 from __future__ import annotations
@@ -43,12 +42,10 @@ from repro.db.layouts import (
 from repro.db.workload import AnalyticsQuery, Transaction, TransactionArrays
 from repro.dram.address import MappingPolicy
 from repro.errors import WorkloadError
-from repro.obs.session import current_session
 from repro.sim.config import Mechanism, SystemConfig
 from repro.sim.results import RunResult
 from repro.vec.hier import DirtyReplay
 from repro.vec.kernels import gather_addresses_batch
-from repro.vec.shim import machine_shim
 from repro.vm.pattmalloc import PattAllocator
 
 _EXACT_LAYOUTS = (RowStore, ColumnStore, GSDRAMStore)
@@ -341,31 +338,6 @@ def _analytics_stream(
     return lines, patterns, alts, shuffled, answer
 
 
-def _attach_session(config: SystemConfig, replay: DirtyReplay,
-                    result: RunResult) -> None:
-    session = current_session()
-    if session is None:
-        return
-    stats = replay.component_stats()
-    session.attach(
-        machine_shim(
-            config,
-            core_counts={
-                "instructions": result.instructions,
-                "loads": result.loads,
-                "stores": result.stores,
-                "misses_blocked": result.l2_misses,
-                "finished": 1,
-            },
-            l1_counts=stats["l1"],
-            l2_counts=stats["l2"],
-            hierarchy_counts=stats["hierarchy"],
-            dbi_counts=stats["dbi"],
-            controller_counts=stats["controller"],
-        )
-    )
-
-
 def fast_transactions(
     layout: StorageLayout,
     txns: TransactionArrays | list[Transaction],
@@ -391,7 +363,7 @@ def fast_transactions(
     result = replay.collect_result(
         instructions=instructions, loads=loads, stores=stores
     )
-    _attach_session(config, replay, result)
+    replay.attach_session(result)
     return FastDbOutcome(
         result=result,
         component_stats=replay.component_stats(),
@@ -421,7 +393,7 @@ def fast_analytics(
     result = replay.collect_result(
         instructions=instructions, loads=total_values, stores=0
     )
-    _attach_session(config, replay, result)
+    replay.attach_session(result)
     return FastDbOutcome(
         result=result,
         component_stats=replay.component_stats(),
@@ -473,7 +445,7 @@ def fast_htap_phased(
     result = replay.collect_result(
         instructions=instructions, loads=loads, stores=stores
     )
-    _attach_session(config, replay, result)
+    replay.attach_session(result)
     return FastDbOutcome(
         result=result,
         component_stats=replay.component_stats(),

@@ -26,7 +26,6 @@ from repro.gemm.autotune import GEMM_CACHE_OVERRIDES, GemmRun
 from repro.gemm.matrix import BLOCK, ELEM, random_matrix
 from repro.sim.config import SystemConfig, plain_dram_config, table1_config
 from repro.sim.results import StageTimer
-from repro.vec.db import _attach_session
 from repro.vec.hier import DirtyReplay
 from repro.vec.kernels import gather_addresses_batch
 from repro.vm.pattmalloc import PattAllocator
@@ -84,7 +83,7 @@ def _replay(config, lines, patterns, alts, writes, shuffled,
     result = replay.collect_result(
         instructions=instructions, loads=loads, stores=stores
     )
-    _attach_session(config, replay, result)
+    replay.attach_session(result)
     return result, replay.component_stats()
 
 

@@ -1,20 +1,18 @@
-"""Metadata-only replay of the cache hierarchy for store-ful streams.
+"""The fast path's model of the caches, the DBI and the controller.
 
-:mod:`repro.vec.replay` covers read-only traces with flat tag arrays;
-:class:`repro.vec.fastpath.FastSystem` covers everything else by
-running the *real* hierarchy. Profiling the DB figures showed that the
-real hierarchy's cost is dominated by functional byte movement (the
-per-line gather/scatter ``lane_map`` in the GS module) — work that
-never affects hit/miss/coherence *accounting*. For a fast-compatible
-configuration (one blocking core, no prefetcher, single channel,
-open-row policy), every control-flow decision the hierarchy makes
-depends only on addresses, patterns, and dirty bits, never on data.
+For a fast-compatible configuration (one blocking core, no prefetcher,
+single channel, open-row policy; see :func:`assert_fast_compatible`),
+every control-flow decision the event hierarchy makes depends only on
+addresses, patterns, and dirty bits, never on data or time. Functional
+byte movement (the per-line gather/scatter ``lane_map`` in the GS
+module) never affects hit/miss/coherence *accounting*.
 
 :class:`DirtyReplay` therefore replays an access stream against a
 dict-based model of the two cache levels, the Dirty-Block Index, and
-the open-row controller, reproducing the exact statistic accounting of
-:class:`repro.cache.hierarchy.CacheHierarchy` +
-:class:`repro.vec.fastpath.ImmediateController`:
+an open-row controller that services each request at submit time,
+reproducing the exact statistic accounting of
+:class:`repro.cache.hierarchy.CacheHierarchy` and
+:class:`repro.mem.controller.MemoryController`:
 
 - cache lines are ``(line_address, pattern)``-keyed entries holding an
   LRU stamp, a dirty bit, and the writeback shuffle annotation;
@@ -22,24 +20,98 @@ the open-row controller, reproducing the exact statistic accounting of
 - stores mark the DBI, drop the stale L2 copy, and evict overlapping
   other-pattern lines (Section 4.1), writing dirty ones back;
 - fetches flush dirty overlaps via one DBI overlap query first;
-- the controller replays per-bank open-row state in submission order.
+- the controller replays per-bank open-row state in submission order,
+  which for one blocking core *is* the event controller's service
+  order.
 
-Functional values are computed separately (numpy) by the callers in
-:mod:`repro.vec.db` and :mod:`repro.vec.gemm`; equivalence with the
-event machine is enforced stat-by-stat by :mod:`repro.check.fastpath`.
+Functional values are computed separately (numpy) by the callers:
+:mod:`repro.vec.db`, :mod:`repro.vec.gemm` and the fig7 sweep in
+:mod:`repro.harness.patternscan`. Equivalence with the event machine
+is enforced stat-by-stat by :mod:`repro.check.fastpath`.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 from repro.energy.model import system_energy
+from repro.errors import ConfigError
+from repro.obs.session import current_session
 from repro.sim.config import Mechanism, SystemConfig
 from repro.sim.results import RunResult
-from repro.vec.fastpath import assert_fast_compatible
-from repro.vec.replay import RowProfile
+from repro.vec.shim import machine_shim
 
 #: Component order used by the stat snapshots (matches the dict the
 #: event drivers capture for the equivalence battery).
 COMPONENTS = ("controller", "l1", "l2", "hierarchy", "dbi")
+
+
+def assert_fast_compatible(config: SystemConfig) -> None:
+    """Raise ConfigError unless the fast path is exact for ``config``.
+
+    The conditions are exactly those under which the functional
+    behaviour of the event machine is timing-independent (see module
+    docstring); anything else must run on :class:`repro.sim.System`.
+    """
+    problems = []
+    if config.cores != 1:
+        problems.append(f"cores={config.cores} (needs 1 blocking core)")
+    if config.channels != 1:
+        problems.append(f"channels={config.channels} (needs 1)")
+    if config.prefetch:
+        problems.append("prefetch=True (prefetch timing changes fills)")
+    if config.store_buffer:
+        problems.append(
+            f"store_buffer={config.store_buffer} (stores must block)"
+        )
+    if config.refresh:
+        problems.append("refresh=True (refresh closes rows by time)")
+    if not config.open_row_policy:
+        problems.append("closed-page policy (row state depends on queues)")
+    if config.auto_pattern:
+        problems.append("auto_pattern=True (detector state is timing-free "
+                        "but unvalidated on the fast path)")
+    if config.mechanism is Mechanism.IMPULSE:
+        problems.append("Impulse mechanism (controller-side gather expands "
+                        "requests)")
+    if problems:
+        raise ConfigError(
+            "configuration is not fast-path compatible: " + "; ".join(problems)
+        )
+
+
+def fast_supported(config: SystemConfig) -> bool:
+    """True when ``config`` can run on the fast path."""
+    try:
+        assert_fast_compatible(config)
+    except ConfigError:
+        return False
+    return True
+
+
+@dataclass
+class RowProfile:
+    """Row-buffer locality of one DRAM access stream."""
+
+    row_hits: int = 0
+    row_misses: int = 0
+    activates: int = 0
+    precharges: int = 0
+    #: bank -> {"reads", "row_hits", "row_misses", "activates",
+    #: "precharges"}
+    per_bank: dict[int, dict[str, int]] = field(default_factory=dict)
+
+    def as_dict(self) -> dict:
+        return {
+            "row_hits": self.row_hits,
+            "row_misses": self.row_misses,
+            "activates": self.activates,
+            "precharges": self.precharges,
+            "per_bank": {
+                str(bank): dict(counts)
+                for bank, counts in sorted(self.per_bank.items())
+            },
+        }
 
 
 class DirtyReplay:
@@ -196,8 +268,8 @@ class DirtyReplay:
         supports = self._supports_patterns
 
         def submit(line_address, pattern, is_write):
-            # ImmediateController.submit: request stats, then the bank's
-            # open-row state machine, then the column command.
+            # The controller at submit time: request stats, then the
+            # bank's open-row state machine, then the column command.
             nonlocal requests, req_read, req_write, req_patt
             nonlocal row_hits, row_misses, cmd_pre, cmd_act, cmd_rd, cmd_wr
             requests += 1
@@ -507,7 +579,7 @@ class DirtyReplay:
     def collect_result(
         self, *, instructions: int, loads: int, stores: int
     ) -> RunResult:
-        """A :class:`FastSystem`-shaped result (timing outputs zero)."""
+        """The event run's :class:`RunResult` with timing outputs zero."""
         c = self.counts
         l1_accesses = c["l1_hits"] + c["l1_misses"]
         l2_accesses = c["l2_hits"] + c["l2_misses"]
@@ -557,6 +629,35 @@ class DirtyReplay:
             writebacks=c["writebacks"],
             energy=energy,
             extra=extra,
+        )
+
+    def attach_session(self, result: RunResult) -> None:
+        """Register the replay with the active observability session.
+
+        Fast runs build no machine, so a :func:`machine_shim` carrying
+        the replay's component stats stands in for it; nothing happens
+        when no session is active.
+        """
+        session = current_session()
+        if session is None:
+            return
+        stats = self.component_stats()
+        session.attach(
+            machine_shim(
+                self.config,
+                core_counts={
+                    "instructions": result.instructions,
+                    "loads": result.loads,
+                    "stores": result.stores,
+                    "misses_blocked": result.l2_misses,
+                    "finished": 1,
+                },
+                l1_counts=stats["l1"],
+                l2_counts=stats["l2"],
+                hierarchy_counts=stats["hierarchy"],
+                dbi_counts=stats["dbi"],
+                controller_counts=stats["controller"],
+            )
         )
 
 

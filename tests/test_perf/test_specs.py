@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.db.layouts import ColumnStore, GSDRAMStore, RowStore
+from repro.db.engine import run_analytics
+from repro.db.layouts import ColumnStore, GSDRAMStore, PartialGatherStore, RowStore
 from repro.db.workload import AnalyticsQuery, TransactionMix
 from repro.errors import ConfigError
 from repro.perf.specs import RunSpec, cache_key, execute_spec, make_layout
@@ -147,6 +148,16 @@ class TestExecuteSpec:
         # timing-dependent; only the phased variant has a fast path.
         with pytest.raises(ConfigError, match="no fast path"):
             execute_spec(RunSpec(kind="htap", layout="Row Store", params={},
+                                 mode="fast"))
+
+    def test_fast_mode_rejected_for_partial_gather(self):
+        # Only the layouts repro.vec.db models exactly have a fast path.
+        with pytest.raises(ConfigError, match="no fast path"):
+            run_analytics(PartialGatherStore(3), AnalyticsQuery((0,)),
+                          num_tuples=256, mode="fast")
+        with pytest.raises(ConfigError, match="no fast path"):
+            execute_spec(RunSpec(kind="analytics", layout="partial-gather-3",
+                                 params={"query": (0,), "num_tuples": 256},
                                  mode="fast"))
 
     def test_fast_mode_runs_phased_htap(self):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.check.fastpath import run_sweep_equivalence
+from repro.dram.address import MappingPolicy
 from repro.errors import ConfigError
 from repro.harness.patternscan import (
     SWEEP_STRIDES,
@@ -37,6 +38,7 @@ class TestRunPatternscan:
         assert event.row_profile == fast.row_profile
         assert event.result.l1_hits == fast.result.l1_hits
         assert event.result.l2_misses == fast.result.l2_misses
+        assert event.component_stats == fast.component_stats
 
     def test_full_sweep_equivalence(self):
         report = run_sweep_equivalence(lines=64)
@@ -56,12 +58,25 @@ class TestRunPatternscan:
         with pytest.raises(ConfigError):
             run_patternscan("scalar", 4, lines=64, mode="approximate")
 
+    @pytest.mark.parametrize("mode", ["event", "fast"])
+    def test_gathered_scan_needs_row_bank_column(self, mode):
+        # Stepping ``stride`` columns per gather assumes consecutive
+        # lines share a DRAM row; bank interleaving breaks that.
+        with pytest.raises(ConfigError, match="mapping_policy"):
+            run_patternscan(
+                "gathered", 4, lines=64, mode=mode,
+                config_overrides={
+                    "mapping_policy": MappingPolicy.BANK_INTERLEAVED
+                },
+            )
+
     def test_fast_mode_emits_snapshot(self):
         with observe() as session:
             run_patternscan("gathered", 4, lines=64, mode="fast")
             snapshot = session.snapshot()
         assert snapshot.get("cpu.core0", "instructions") > 0
         assert snapshot.get("mem.controller", "requests_patterned") > 0
+        assert snapshot.get("cache.dbi", "overlap_queries") > 0
         assert "cache.l2" in snapshot.paths()
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from repro.check.oracle import MemoryOracle
 from repro.check.strategies import TraceSpec, random_trace
 from repro.cpu.isa import Compute, Load, Store
-from repro.dram.address import Geometry
+from repro.dram.address import Geometry, MappingPolicy
 from repro.errors import DivergenceError, ReproError
 from repro.sim.config import SystemConfig, table1_config
 from repro.sim.system import System
@@ -227,7 +227,8 @@ def differential_configs() -> list[SystemConfig]:
 
     Small caches force evictions, writebacks, and coherence traffic;
     the variants cover both schedulers, the prefetcher, the store
-    buffer, closed-page mode, partial shuffle stages, and two cores.
+    buffer, closed-page mode, partial shuffle stages, two cores, the
+    bank-interleaved mapping, and two channels.
     """
     geometries = {
         8: Geometry(chips=8, banks=2, rows_per_bank=32, columns_per_row=16),
@@ -256,6 +257,10 @@ def differential_configs() -> list[SystemConfig]:
         **small_caches,
     )
     configs.append(partial)
+    # The bulk byte-span path under the other address mapping and
+    # through the channel router (mem_write loads, mem_read diffs).
+    configs.append(configs[0].with_(mapping_policy=MappingPolicy.BANK_INTERLEAVED))
+    configs.append(configs[0].with_(channels=2))
     return configs
 
 

@@ -15,6 +15,8 @@ behave exactly like commodity DRAM.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.ctl import ColumnTranslationLogic, build_ctls
 from repro.core.shuffle import LSBShuffle, ShuffleFunction
 from repro.dram.address import Geometry, MappingPolicy
@@ -72,6 +74,7 @@ class GSModule(DRAMModule):
     ) -> None:
         self.pattern_bits = pattern_bits
         self._shuffle_fn: ShuffleFunction | None = shuffle  # read by _build_rank
+        self._slots: dict[tuple[int, int, bool], np.ndarray] = {}
         super().__init__(geometry, timing, cpu_per_bus, policy)
         if shuffle is None:
             shuffle = LSBShuffle(stages=ilog2(self.geometry.chips))
@@ -163,6 +166,36 @@ class GSModule(DRAMModule):
             return False
         return True
 
+    def gather_slots(
+        self, column: int, pattern: int, shuffled: bool = True
+    ) -> np.ndarray:
+        """Rank storage slots of an access, in assembly order.
+
+        Slot ``chip_column * chips + chip`` is the column ``chip`` reads
+        (see :class:`repro.dram.rank.Rank`). Each table is filled on
+        first use from :meth:`lane_map` and :meth:`assembly_order`,
+        which stay the one statement of the CTL and shuffle math; a
+        lookup that raises there is not cached.
+        """
+        key = (column, pattern, shuffled)
+        slots = self._slots.get(key)
+        if slots is None:
+            lanes = self.lane_map(column, pattern, shuffled)
+            chips = self.geometry.chips
+            slots = np.array(
+                [lanes[chip][0] * chips + chip
+                 for chip in self.assembly_order(column, pattern, shuffled)],
+                dtype=np.intp,
+            )
+            slots.flags.writeable = False
+            self._slots[key] = slots
+        return slots
+
+    def _pattern0_slots(self, columns: np.ndarray, shuffled: bool) -> np.ndarray:
+        return np.stack(
+            [self.gather_slots(column, 0, shuffled) for column in columns.tolist()]
+        )
+
     # ------------------------------------------------------------------
     # Functional data movement (overrides add shuffle + patterns)
     # ------------------------------------------------------------------
@@ -176,14 +209,8 @@ class GSModule(DRAMModule):
         loc = self.mapping.decode(address)
         if loc.offset != 0:
             raise AddressError(f"line read of unaligned address {address:#x}")
-        rank: GSRank = self.rank  # type: ignore[assignment]
-        lanes = self.lane_map(loc.column, pattern, shuffled)
-        order = self.assembly_order(loc.column, pattern, shuffled)
-        parts = []
-        for chip_id in order:
-            chip_column = lanes[chip_id][0]
-            parts.append(rank.chips[chip_id].read_column(loc.bank, loc.row, chip_column))
-        return b"".join(parts)
+        slots = self.gather_slots(loc.column, pattern, shuffled)
+        return self.rank.read_slots(loc.bank, loc.row, slots)
 
     def write_line(
         self, address: int, data: bytes, pattern: int = 0, shuffled: bool = True
@@ -196,14 +223,15 @@ class GSModule(DRAMModule):
             raise AddressError(
                 f"line write of {len(data)} bytes, line size is {self.line_bytes}"
             )
-        rank: GSRank = self.rank  # type: ignore[assignment]
-        width = self.geometry.column_bytes
-        lanes = self.lane_map(loc.column, pattern, shuffled)
-        order = self.assembly_order(loc.column, pattern, shuffled)
-        for position, chip_id in enumerate(order):
-            chip_column = lanes[chip_id][0]
-            lane = data[position * width : (position + 1) * width]
-            rank.chips[chip_id].write_column(loc.bank, loc.row, chip_column, lane)
+        slots = self.gather_slots(loc.column, pattern, shuffled)
+        self.rank.write_slots(loc.bank, loc.row, slots, data)
+
+    # Byte spans default to shuffled, like the line accesses above.
+    def read_bytes(self, address: int, length: int, shuffled: bool = True) -> bytes:
+        return super().read_bytes(address, length, shuffled)
+
+    def write_bytes(self, address: int, data: bytes, shuffled: bool = True) -> None:
+        super().write_bytes(address, data, shuffled)
 
     # ------------------------------------------------------------------
     # Overlap geometry for cache coherence (Section 4.1)

@@ -2,7 +2,6 @@
 
 from repro.dram.address import AddressMapping, DecodedAddress, Geometry, MappingPolicy
 from repro.dram.bank import Bank
-from repro.dram.chip import Chip
 from repro.dram.commands import Command, CommandKind
 from repro.dram.module import DRAMModule
 from repro.dram.rank import Rank
@@ -11,7 +10,6 @@ from repro.dram.timing import DEFAULT_CPU_PER_BUS, DRAMTiming, ddr3_1600, ddr4_2
 __all__ = [
     "AddressMapping",
     "Bank",
-    "Chip",
     "Command",
     "CommandKind",
     "DEFAULT_CPU_PER_BUS",

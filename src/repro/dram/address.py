@@ -96,25 +96,29 @@ class AddressMapping:
         self.address_bits = (
             self.offset_bits + self.column_bits + self.bank_bits + self.row_bits
         )
+        self._capacity = geometry.capacity_bytes
+        self._offset_mask = geometry.line_bytes - 1
+        self._column_mask = geometry.columns_per_row - 1
+        self._bank_mask = geometry.banks - 1
 
     def decode(self, address: int) -> DecodedAddress:
         """Split a physical byte address into DRAM coordinates."""
-        if address < 0 or address >= self.geometry.capacity_bytes:
+        if address < 0 or address >= self._capacity:
             raise AddressError(
                 f"address {address:#x} outside module capacity "
-                f"{self.geometry.capacity_bytes:#x}"
+                f"{self._capacity:#x}"
             )
-        offset = address & (self.geometry.line_bytes - 1)
+        offset = address & self._offset_mask
         line = address >> self.offset_bits
         if self.policy is MappingPolicy.ROW_BANK_COLUMN:
-            column = line & (self.geometry.columns_per_row - 1)
+            column = line & self._column_mask
             line >>= self.column_bits
-            bank = line & (self.geometry.banks - 1)
+            bank = line & self._bank_mask
             row = line >> self.bank_bits
         else:
-            bank = line & (self.geometry.banks - 1)
+            bank = line & self._bank_mask
             line >>= self.bank_bits
-            column = line & (self.geometry.columns_per_row - 1)
+            column = line & self._column_mask
             row = line >> self.column_bits
         return DecodedAddress(bank=bank, row=row, column=column, offset=offset)
 
@@ -137,4 +141,4 @@ class AddressMapping:
 
     def line_address(self, address: int) -> int:
         """Address rounded down to its cache-line base."""
-        return address & ~(self.geometry.line_bytes - 1)
+        return address & ~self._offset_mask

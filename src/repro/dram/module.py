@@ -9,6 +9,8 @@ controller.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.dram.address import AddressMapping, DecodedAddress, Geometry, MappingPolicy
 from repro.dram.bank import Bank
 from repro.dram.rank import Rank
@@ -74,29 +76,85 @@ class DRAMModule:
             raise AddressError(f"line write of unaligned address {address:#x}")
         self.rank.write_line(loc.bank, loc.row, loc.column, data, pattern)
 
-    # Byte-granularity convenience for loaders (read-modify-write).
-    def read_bytes(self, address: int, length: int) -> bytes:
+    # ------------------------------------------------------------------
+    # Byte spans (the loaders' path)
+    # ------------------------------------------------------------------
+    def read_bytes(self, address: int, length: int, shuffled: bool = False) -> bytes:
         """Read ``length`` bytes starting at ``address`` (may span lines)."""
+        head, count, tail = self._line_split(address, length)
         out = bytearray()
-        line_bytes = self.line_bytes
-        while length > 0:
+        if head:
             base = self.mapping.line_address(address)
             offset = address - base
-            take = min(length, line_bytes - offset)
-            out += self.read_line(base)[offset : offset + take]
-            address += take
-            length -= take
+            out += self.read_line(base, 0, shuffled)[offset : offset + head]
+        if count:
+            lines = np.empty((count, self.line_bytes), dtype=np.uint8)
+            groups = self._row_groups(address + head, count, shuffled)
+            for bank, row, pick, slots in groups:
+                lines[pick] = np.frombuffer(
+                    self.rank.read_slots(bank, row, slots), dtype=np.uint8
+                ).reshape(len(pick), -1)
+            out += lines.tobytes()
+        if tail:
+            out += self.read_line(address + length - tail, 0, shuffled)[:tail]
         return bytes(out)
 
-    def write_bytes(self, address: int, data: bytes) -> None:
-        """Write ``data`` starting at ``address`` (may span lines)."""
-        line_bytes = self.line_bytes
-        position = 0
-        while position < len(data):
-            base = self.mapping.line_address(address + position)
-            offset = (address + position) - base
-            take = min(len(data) - position, line_bytes - offset)
-            line = bytearray(self.read_line(base))
-            line[offset : offset + take] = data[position : position + take]
-            self.write_line(base, bytes(line))
-            position += take
+    def write_bytes(self, address: int, data: bytes, shuffled: bool = False) -> None:
+        """Write ``data`` starting at ``address`` (may span lines).
+
+        A partial first or last line is a read-modify-write of that
+        line; the whole lines between move in one step.
+        """
+        data = memoryview(data)
+        head, count, tail = self._line_split(address, len(data))
+        if head:
+            self._patch_line(address, data[:head], shuffled)
+        if count:
+            lines = np.frombuffer(data[head : len(data) - tail], dtype=np.uint8)
+            lines = lines.reshape(count, -1)
+            groups = self._row_groups(address + head, count, shuffled)
+            for bank, row, pick, slots in groups:
+                self.rank.write_slots(bank, row, slots, lines[pick])
+        if tail:
+            self._patch_line(address + len(data) - tail, data[-tail:], shuffled)
+
+    def _line_split(self, address: int, length: int) -> tuple[int, int, int]:
+        """(bytes before the first whole line, whole lines, bytes after)."""
+        head = min(length, -address % self.line_bytes)
+        count, tail = divmod(length - head, self.line_bytes)
+        return head, count, tail
+
+    def _patch_line(self, address: int, piece, shuffled: bool) -> None:
+        base = self.mapping.line_address(address)
+        offset = address - base
+        line = bytearray(self.read_line(base, 0, shuffled))
+        line[offset : offset + len(piece)] = piece
+        self.write_line(base, bytes(line), 0, shuffled)
+
+    def _pattern0_slots(self, columns: np.ndarray, shuffled: bool) -> np.ndarray:
+        """``(len(columns), chips)`` storage slots of pattern-0 lines.
+
+        Plain DRAM has no shuffle network, so ``shuffled`` is ignored.
+        """
+        chips = self.geometry.chips
+        return columns[:, None] * chips + np.arange(chips)
+
+    def _row_groups(self, address: int, count: int, shuffled: bool):
+        """``(bank, row, line indices, slots)`` per DRAM row that the
+        ``count`` whole lines from ``address`` touch."""
+        # repro.vec's package imports the simulator, which imports this.
+        from repro.vec.kernels import decompose_addresses
+
+        g = self.geometry
+        loc = decompose_addresses(
+            address + g.line_bytes * np.arange(count, dtype=np.int64),
+            banks=g.banks, rows_per_bank=g.rows_per_bank,
+            columns_per_row=g.columns_per_row, line_bytes=g.line_bytes,
+            policy=self.mapping.policy,
+        )
+        rows = loc["bank"] * g.rows_per_bank + loc["row"]
+        for key in np.unique(rows).tolist():
+            pick = np.flatnonzero(rows == key)
+            bank, row = divmod(key, g.rows_per_bank)
+            slots = self._pattern0_slots(loc["column"][pick], shuffled)
+            yield bank, row, pick, slots.ravel()

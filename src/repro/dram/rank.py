@@ -1,16 +1,30 @@
 """A DRAM rank: a group of chips sharing command/address buses.
 
 All chips in a rank decode every command in lockstep (Section 2 of the
-paper); each contributes ``column_bytes`` to every cache line. The base
-:class:`Rank` implements the conventional behaviour where every chip
-accesses the *same* column. GS-DRAM overrides exactly one seam —
-:meth:`Rank.chip_column` — to insert the per-chip column translation
-logic (see :mod:`repro.core.module`).
+paper); each contributes ``column_bytes`` to every cache line. The rank
+stores its chips' bytes together: one ``uint8`` array per touched
+(bank, row), shaped ``(columns_per_row * chips, column_bytes)``, whose
+slot ``column * chips + chip`` holds chip ``chip``'s column ``column``.
+The array's bytes are therefore the row in logical line order, exactly
+what :meth:`Rank.read_row` returns. Rows are allocated on first write
+and zero-filled; untouched rows read as zeros without allocating.
+
+The base :class:`Rank` implements the conventional behaviour where
+every chip accesses the *same* column, so a line is one contiguous run
+of slots. GS-DRAM overrides exactly one seam — :meth:`Rank.chip_column`
+— to insert the per-chip column translation logic, and its module
+moves lines through precomputed slot tables (see
+:mod:`repro.core.module`). All timing lives in
+:class:`repro.dram.bank.Bank` and the memory controller.
 """
 
 from __future__ import annotations
 
-from repro.dram.chip import Chip
+import functools
+
+import numpy as np
+
+from repro.dram.commands import MRA_OPS
 from repro.errors import AddressError, ConfigError
 from repro.utils.bitops import is_power_of_two
 
@@ -33,10 +47,10 @@ class Rank:
         self.rows_per_bank = rows_per_bank
         self.columns_per_row = columns_per_row
         self.column_bytes = column_bytes
-        self.chips = [
-            Chip(i, banks, rows_per_bank, columns_per_row, column_bytes)
-            for i in range(chips)
-        ]
+        self._shape = (columns_per_row * chips, column_bytes)
+        self._rows: dict[tuple[int, int], np.ndarray] = {}
+        self._zeros = np.zeros(self._shape, dtype=np.uint8)
+        self._zeros.flags.writeable = False
 
     @property
     def line_bytes(self) -> int:
@@ -47,6 +61,30 @@ class Rank:
     def row_bytes(self) -> int:
         """Bytes per DRAM row across the whole rank."""
         return self.columns_per_row * self.line_bytes
+
+    @property
+    def allocated_rows(self) -> int:
+        """Number of rows written so far (memory-footprint introspection)."""
+        return len(self._rows)
+
+    def _check(self, bank: int, row: int) -> None:
+        if not 0 <= bank < self.banks:
+            raise AddressError(f"bank {bank} out of range")
+        if not 0 <= row < self.rows_per_bank:
+            raise AddressError(f"row {row} out of range")
+
+    def _stored(self, bank: int, row: int) -> np.ndarray:
+        """The row's storage for reading (shared read-only zeros if untouched)."""
+        self._check(bank, row)
+        return self._rows.get((bank, row), self._zeros)
+
+    def _writable(self, bank: int, row: int) -> np.ndarray:
+        """The row's storage for writing, allocating zeros if untouched."""
+        self._check(bank, row)
+        data = self._rows.get((bank, row))
+        if data is None:
+            data = self._rows[(bank, row)] = np.zeros(self._shape, dtype=np.uint8)
+        return data
 
     # ------------------------------------------------------------------
     # The GS-DRAM seam
@@ -64,16 +102,35 @@ class Rank:
             )
         return column
 
+    def _line_slots(self, column: int, pattern: int) -> slice | list[int]:
+        """Slots of chips 0..n-1 for an issued ``column`` and ``pattern``."""
+        if not 0 <= column < self.columns_per_row:
+            raise AddressError(f"column {column} out of range")
+        chips = self.num_chips
+        if pattern == 0:
+            return slice(column * chips, (column + 1) * chips)
+        return [
+            self.chip_column(chip, column, pattern) * chips + chip
+            for chip in range(chips)
+        ]
+
     # ------------------------------------------------------------------
     # Data movement
     # ------------------------------------------------------------------
+    def read_slots(self, bank: int, row: int, slots) -> bytes:
+        """The columns at ``slots`` (a slice or index array), in order."""
+        return self._stored(bank, row)[slots].tobytes()
+
+    def write_slots(self, bank: int, row: int, slots, data) -> None:
+        """Store ``data`` (``column_bytes`` per slot) at ``slots``, in order."""
+        target = self._writable(bank, row)
+        target[slots] = np.frombuffer(data, dtype=np.uint8).reshape(
+            -1, self.column_bytes
+        )
+
     def read_line(self, bank: int, row: int, column: int, pattern: int = 0) -> bytes:
         """Read one line: chip ``i`` supplies byte lanes ``i*w..(i+1)*w``."""
-        parts = []
-        for chip in self.chips:
-            chip_col = self.chip_column(chip.chip_id, column, pattern)
-            parts.append(chip.read_column(bank, row, chip_col))
-        return b"".join(parts)
+        return self.read_slots(bank, row, self._line_slots(column, pattern))
 
     def write_line(
         self, bank: int, row: int, column: int, data: bytes, pattern: int = 0
@@ -83,81 +140,75 @@ class Rank:
             raise AddressError(
                 f"line write of {len(data)} bytes, rank line size is {self.line_bytes}"
             )
-        width = self.column_bytes
-        for chip in self.chips:
-            chip_col = self.chip_column(chip.chip_id, column, pattern)
-            lane = data[chip.chip_id * width : (chip.chip_id + 1) * width]
-            chip.write_column(bank, row, chip_col, lane)
+        self.write_slots(bank, row, self._line_slots(column, pattern), data)
 
     # ------------------------------------------------------------------
     # In-DRAM compute (docs/INDRAM.md)
     # ------------------------------------------------------------------
     def read_row(self, bank: int, row: int) -> bytes:
-        """The whole row in logical line order (column 0 line first).
-
-        Equivalent to 128 pattern-0 ``read_line`` calls, vectorized:
-        chip ``i``'s storage supplies byte lanes ``i*w..(i+1)*w`` of
-        every line (pattern 0 is the identity on every rank flavour,
-        so the per-chip column translation can be bypassed).
-        """
-        import numpy as np
-
-        width = self.column_bytes
-        stack = np.empty(
-            (self.columns_per_row, self.num_chips, width), dtype=np.uint8
-        )
-        for chip in self.chips:
-            stack[:, chip.chip_id, :] = np.frombuffer(
-                chip.row_view(bank, row), dtype=np.uint8
-            ).reshape(self.columns_per_row, width)
-        return stack.tobytes()
+        """The whole row in logical line order (column 0 line first)."""
+        return self._stored(bank, row).tobytes()
 
     def write_row(self, bank: int, row: int, data: bytes) -> None:
         """Fill the whole row from ``data`` in logical line order."""
-        import numpy as np
-
         if len(data) != self.row_bytes:
             raise AddressError(
                 f"row write of {len(data)} bytes, rank row size is {self.row_bytes}"
             )
-        width = self.column_bytes
-        stack = np.frombuffer(data, dtype=np.uint8).reshape(
-            self.columns_per_row, self.num_chips, width
+        self._writable(bank, row)[:] = np.frombuffer(data, dtype=np.uint8).reshape(
+            self._shape
         )
-        for chip in self.chips:
-            target = np.frombuffer(
-                chip.row_view(bank, row), dtype=np.uint8
-            ).reshape(self.columns_per_row, width)
-            target[:] = stack[:, chip.chip_id, :]
 
     def mra(self, bank: int, rows: tuple[int, ...], dest: int, op: str) -> None:
-        """Multi-row activate: every chip combines its slice in lockstep.
+        """Multi-row activate: latch the bitwise ``op`` of ``rows`` into ``dest``.
 
-        The bitwise ops are bit-local, so each chip computes its own
-        ``column_bytes``-wide lanes independently — exactly how the
-        command decodes on real hardware (all chips see the same
-        addresses).
+        AND/OR combine 2-3 distinct source rows; MAJ is the bitwise
+        majority ``(a&b)|(a&c)|(b&c)`` of exactly 3 — the combinations
+        :class:`repro.dram.commands.Command` accepts. The ops are
+        bit-local, so combining the whole row at once is what every
+        chip does to its own lanes in lockstep.
         """
-        for chip in self.chips:
-            chip.combine_rows(bank, rows, dest, op)
+        if op not in MRA_OPS:
+            raise AddressError(f"unknown MRA op {op!r}")
+        if not 2 <= len(rows) <= 3 or len(set(rows)) != len(rows):
+            raise AddressError(f"MRA needs 2-3 distinct source rows, got {rows}")
+        if op == "MAJ" and len(rows) != 3:
+            raise AddressError(f"MAJ needs exactly 3 source rows, got {rows}")
+        self._check(bank, dest)
+        sources = [self._stored(bank, r) for r in rows]
+        if op == "MAJ":
+            a, b, c = sources
+            combined = (a & b) | (a & c) | (b & c)
+        else:
+            combine = np.bitwise_and if op == "AND" else np.bitwise_or
+            combined = functools.reduce(combine, sources)
+        self._rows[(bank, dest)] = combined
 
     def shift_row(self, bank: int, row: int, amount: int,
                   direction: str = "left") -> None:
         """Shift the row as one little-endian bit vector, zero-filling.
 
         Bit ``t`` lives in byte ``t // 8`` of the row's logical line
-        order; shifts cross chip (and column) boundaries, so the
-        functional model assembles the full row, shifts it as an
-        integer, and scatters it back.
+        order, so shifts cross chip (and column) boundaries. One pass
+        over the row's bytes moves each byte by ``amount // 8`` places
+        and carries its top (left) or bottom (right) ``amount % 8``
+        bits into the next byte.
         """
         if amount <= 0:
             raise AddressError(f"shift amount must be positive, got {amount}")
-        bits = self.row_bytes * 8
-        value = int.from_bytes(self.read_row(bank, row), "little")
-        if direction == "left":
-            value = (value << amount) & ((1 << bits) - 1)
-        elif direction == "right":
-            value >>= amount
-        else:
+        if direction not in ("left", "right"):
             raise AddressError(f"unknown shift direction {direction!r}")
-        self.write_row(bank, row, value.to_bytes(self.row_bytes, "little"))
+        source = self._stored(bank, row).reshape(-1)
+        size = source.size
+        step, bits = divmod(amount, 8)
+        shifted = np.zeros(size, dtype=np.uint8)
+        if step < size:
+            if direction == "left":
+                shifted[step:] = source[: size - step] << bits
+                if bits:
+                    shifted[step + 1 :] |= source[: size - step - 1] >> (8 - bits)
+            else:
+                shifted[: size - step] = source[step:] >> bits
+                if bits:
+                    shifted[: size - step - 1] |= source[step + 1 :] << (8 - bits)
+        self._rows[(bank, row)] = shifted.reshape(self._shape)

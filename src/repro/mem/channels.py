@@ -33,6 +33,7 @@ from repro.errors import AddressError, ConfigError
 from repro.mem.controller import MemoryController
 from repro.mem.request import MemoryRequest
 from repro.mem.schedulers import Scheduler
+from repro.utils.bitops import split_span
 from repro.utils.events import Engine
 from repro.utils.statistics import Histogram, StatGroup
 
@@ -165,6 +166,24 @@ class MultiChannelModule:
     ) -> None:
         channel, local = self.route(address)
         self.channels[channel].write_line(local, data, pattern, shuffled)
+
+    def read_bytes(self, address: int, length: int, shuffled: bool = True) -> bytes:
+        """Read a byte span, one channel-local span per global row."""
+        out = bytearray()
+        for start, size in split_span(address, length, self.mapping.row_bytes):
+            channel, local = self.route(start)
+            out += self.channels[channel].read_bytes(local, size, shuffled)
+        return bytes(out)
+
+    def write_bytes(self, address: int, data: bytes, shuffled: bool = True) -> None:
+        """Write a byte span, one channel-local span per global row."""
+        data = memoryview(data)
+        for start, size in split_span(address, len(data), self.mapping.row_bytes):
+            channel, local = self.route(start)
+            offset = start - address
+            self.channels[channel].write_bytes(
+                local, data[offset : offset + size], shuffled
+            )
 
 
 class MultiChannelController:

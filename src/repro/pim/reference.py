@@ -1,6 +1,6 @@
 """Numpy reference semantics for the in-DRAM compute primitives.
 
-The device model (:meth:`repro.dram.chip.Chip.combine_rows`,
+The device model (:meth:`repro.dram.rank.Rank.mra`,
 :meth:`repro.dram.rank.Rank.shift_row`) operates on the real byte
 arrays; this module states the same semantics independently in numpy.
 Tests and the ``repro check pim`` stage hold the two byte-identical

@@ -27,6 +27,7 @@ from repro.mem.schedulers import FCFS, FRFCFS, Scheduler
 from repro.obs.session import current_session
 from repro.sim.config import Mechanism, SchedulerKind, SystemConfig
 from repro.sim.results import RunResult
+from repro.utils.bitops import split_span
 from repro.utils.events import Engine
 
 
@@ -180,18 +181,11 @@ class System:
 
     def mem_write(self, address: int, data: bytes) -> None:
         """Functionally pre-load memory (honouring page shuffle flags)."""
-        line_bytes = self.module.line_bytes
-        position = 0
-        while position < len(data):
-            target = address + position
-            base = self.module.mapping.line_address(target)
-            offset = target - base
-            take = min(len(data) - position, line_bytes - offset)
-            _, shuffled, _ = self.page_table.translate(base)
-            line = bytearray(self.module.read_line(base, 0, shuffled))
-            line[offset : offset + take] = data[position : position + take]
-            self.module.write_line(base, bytes(line), 0, shuffled)
-            position += take
+        data = memoryview(data)
+        for start, size in split_span(address, len(data), self.page_table.page_bytes):
+            _, shuffled, _ = self.page_table.translate(start)
+            offset = start - address
+            self.module.write_bytes(start, data[offset : offset + size], shuffled)
 
     def mem_read(self, address: int, length: int) -> bytes:
         """Functionally read memory (through any dirty cached lines).
@@ -201,16 +195,9 @@ class System:
         """
         self.hierarchy.drain_dirty()
         out = bytearray()
-        line_bytes = self.module.line_bytes
-        while length > 0:
-            base = self.module.mapping.line_address(address)
-            offset = address - base
-            take = min(length, line_bytes - offset)
-            _, shuffled, _ = self.page_table.translate(base)
-            line = self.module.read_line(base, 0, shuffled)
-            out += line[offset : offset + take]
-            address += take
-            length -= take
+        for start, size in split_span(address, length, self.page_table.page_bytes):
+            _, shuffled, _ = self.page_table.translate(start)
+            out += self.module.read_bytes(start, size, shuffled)
         return bytes(out)
 
     # ------------------------------------------------------------------

@@ -115,3 +115,15 @@ def repeat_to_width(value: int, value_width: int, target_width: int) -> int:
         result |= value << filled
         filled += value_width
     return result & mask(target_width)
+
+
+def split_span(address: int, length: int, block: int):
+    """Cut ``length`` bytes from ``address`` at every multiple of ``block``.
+
+    Yields ``(start, size)`` per piece; ``block`` is a page or a row.
+    """
+    while length > 0:
+        size = min(length, block - address % block)
+        yield address, size
+        address += size
+        length -= size

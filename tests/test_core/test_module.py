@@ -43,14 +43,16 @@ class TestPatternZero:
         module = make_module()
         module.write_line(64, pack(range(8)))
         loc = module.decode(64)
-        chip0 = module.rank.chips[0].read_column(loc.bank, loc.row, loc.column)
+        row = module.rank.read_row(loc.bank, loc.row)
+        chip0 = row[loc.column * 64 : loc.column * 64 + 8]
         assert struct.unpack("<Q", chip0)[0] == 1
 
     def test_unshuffled_page_stores_directly(self):
         module = make_module()
         module.write_line(64, pack(range(8)), shuffled=False)
         loc = module.decode(64)
-        chip0 = module.rank.chips[0].read_column(loc.bank, loc.row, loc.column)
+        row = module.rank.read_row(loc.bank, loc.row)
+        chip0 = row[loc.column * 64 : loc.column * 64 + 8]
         assert struct.unpack("<Q", chip0)[0] == 0
         assert unpack(module.read_line(64, shuffled=False)) == list(range(8))
 

@@ -28,8 +28,9 @@ class TestLineAccess:
         rank = make_rank(4)
         line = b"".join(bytes([i] * 8) for i in range(4))
         rank.write_line(0, 0, 0, line)
-        for chip in rank.chips:
-            assert chip.read_column(0, 0, 0) == bytes([chip.chip_id] * 8)
+        row = rank.read_row(0, 0)
+        for chip in range(4):
+            assert row[chip * 8 : (chip + 1) * 8] == bytes([chip] * 8)
 
     def test_round_trip(self):
         rank = make_rank(4)

@@ -1,11 +1,12 @@
-"""Device semantics (chip/rank) vs the numpy reference, byte for byte."""
+"""Device semantics (the rank) vs the numpy reference, byte for byte."""
 
 import numpy as np
 import pytest
 
+from repro.dram import commands
 from repro.dram.address import Geometry
 from repro.dram.module import DRAMModule
-from repro.errors import AddressError, ConfigError
+from repro.errors import AddressError, ConfigError, ProtocolError
 from repro.pim.reference import bit_slice_rows, combine_reference, shift_reference
 
 SMALL = Geometry(chips=8, banks=2, rows_per_bank=8, columns_per_row=16)
@@ -92,6 +93,17 @@ class TestDeviceMatchesReference:
         module.rank.write_row(1, 0, ones)
         module.rank.mra(1, (0, 5), 6, "AND")  # row 5 never touched
         assert module.rank.read_row(1, 6) == bytes(module.geometry.row_bytes)
+
+    @pytest.mark.parametrize("rows,op", [
+        ((0,), "AND"), ((0, 0), "AND"), ((0, 1), "MAJ"),
+    ], ids=["one-row", "repeated-row", "maj-of-two"])
+    def test_mra_rejects_what_the_command_rejects(self, rows, op):
+        with pytest.raises(ProtocolError):
+            commands.mra(0, rows, 2, op)
+        module = make_module()
+        with pytest.raises(AddressError):
+            module.rank.mra(0, rows, 2, op)
+        assert module.rank.allocated_rows == 0
 
     @pytest.mark.parametrize("direction", ["left", "right"])
     @pytest.mark.parametrize("amount", [1, 7, 8, 64, 100, 1000])

@@ -25,15 +25,9 @@ Commands:
 - ``metrics <figure>`` — rerun one figure's representative specs with
   registry observation and dump the merged per-component metrics
   snapshot as JSON.
-- ``serve`` — run the asyncio simulation service (submit RunSpecs over
-  HTTP/JSON, shared result cache, admission control, crash-recoverable
-  job journal). See docs/SERVING.md.
-- ``submit`` — send one or more RunSpecs to a running server and print
-  one JSON line per job (id, state, result digest).
-- ``jobs`` — list a running server's jobs.
 - ``--version`` — package version plus the source-tree content hash
-  (the same hash the service handshake echoes, so client/server skew
-  is detectable by eye).
+  (the hash that keys the result cache), so two checkouts can be
+  compared by eye.
 """
 
 from __future__ import annotations
@@ -152,9 +146,10 @@ def main(argv: list[str] | None = None) -> int:
     if argv[:1] in (["--version"], ["-V"]):
         # Handled before argparse so it works ahead of any subcommand
         # (and without paying for subparser imports).
-        from repro.serve.cli import version_string
+        import repro
+        from repro.perf.cache import code_version
 
-        print(version_string())
+        print(f"repro {repro.__version__} (code {code_version()[:16]})")
         return 0
     if argv[:1] == ["check"]:
         # The check sub-CLI owns its own flags; forward them verbatim.
@@ -229,73 +224,6 @@ def main(argv: list[str] | None = None) -> int:
     sub.add_parser("report", help="regenerate EXPERIMENTS.md")
     sub.add_parser("check", help="run invariant checkers + differential oracle")
 
-    from repro.serve.server import DEFAULT_PORT
-
-    serve_parser = sub.add_parser(
-        "serve", help="run the simulation service (docs/SERVING.md)"
-    )
-    serve_parser.add_argument("--host", default="127.0.0.1")
-    serve_parser.add_argument("--port", type=int, default=DEFAULT_PORT)
-    serve_parser.add_argument("--workers", type=int, default=2,
-                              help="concurrent job slots (default 2)")
-    serve_parser.add_argument("--executor", default="process",
-                              choices=["process", "thread"],
-                              help="where jobs run (default: process pool)")
-    serve_parser.add_argument("--max-inflight", type=int, default=8,
-                              help="open jobs allowed per client (default 8)")
-    serve_parser.add_argument("--rate", type=float, default=0.0,
-                              help="submissions/second per client "
-                                   "(default 0 = unlimited)")
-    serve_parser.add_argument("--burst", type=int, default=4,
-                              help="rate-limit burst allowance (default 4)")
-    serve_parser.add_argument("--state-dir", default=".repro-serve",
-                              help="job-journal directory (default .repro-serve)")
-    serve_parser.add_argument("--no-state", action="store_true",
-                              help="disable the journal (no crash recovery)")
-    serve_parser.add_argument("--drain-deadline", type=float, default=30.0,
-                              help="seconds open jobs get on graceful "
-                                   "shutdown (default 30)")
-    serve_parser.add_argument("--quiet", action="store_true",
-                              help="suppress per-request log lines")
-
-    submit = sub.add_parser(
-        "submit", help="submit RunSpecs to a running server"
-    )
-    submit.add_argument("--host", default="127.0.0.1")
-    submit.add_argument("--port", type=int, default=DEFAULT_PORT)
-    submit.add_argument("--client", default="cli",
-                        help="client id for admission control (default cli)")
-    submit.add_argument("--spec-json", action="append", default=[],
-                        help="a RunSpec as a JSON object (repeatable)")
-    submit.add_argument("--spec-file", default=None,
-                        help="JSON file with one spec or a list of specs")
-    submit.add_argument("--figure", default=None, choices=list(SPEC_FIGURES),
-                        help="submit that figure's representative specs")
-    submit.add_argument("--scale", default="quick", choices=scales)
-    submit.add_argument("--patternscan", default=None, metavar="VARIANT:STRIDE",
-                        help="one fig7-style point, e.g. gathered:4")
-    submit.add_argument("--lines", type=int, default=2048,
-                        help="patternscan lines (default 2048)")
-    submit.add_argument("--mode", default=None, choices=["event", "fast"],
-                        help="override mode on every submitted spec")
-    submit.add_argument("--obs", default=None,
-                        choices=["off", "metrics", "trace", "trace-detail"],
-                        help="override obs on every submitted spec")
-    submit.add_argument("--priority", type=int, default=0)
-    submit.add_argument("--no-wait", action="store_true",
-                        help="return job ids immediately instead of waiting")
-    submit.add_argument("--timeout", type=float, default=300.0,
-                        help="per-job wait timeout in seconds (default 300)")
-    submit.add_argument("--retries", type=int, default=3,
-                        help="rate-limit resubmit attempts (default 3)")
-
-    jobs_parser = sub.add_parser("jobs", help="list a running server's jobs")
-    jobs_parser.add_argument("--host", default="127.0.0.1")
-    jobs_parser.add_argument("--port", type=int, default=DEFAULT_PORT)
-    jobs_parser.add_argument("--timeout", type=float, default=30.0)
-    jobs_parser.add_argument("--json", action="store_true",
-                             help="raw JSON instead of a table")
-
     args = parser.parse_args(argv)
 
     if args.command == "figures":
@@ -339,15 +267,6 @@ def main(argv: list[str] | None = None) -> int:
 
         report_main()
         return 0
-    if args.command in ("serve", "submit", "jobs"):
-        from repro.serve import cli as serve_cli
-
-        handler = {
-            "serve": serve_cli.run_serve,
-            "submit": serve_cli.run_submit,
-            "jobs": serve_cli.run_jobs,
-        }[args.command]
-        return handler(args)
     return 2
 
 

@@ -20,8 +20,8 @@ from repro.check.invariants import run_all_invariants
 
 #: Stage names accepted as positional selectors (``repro check
 #: inference`` runs just that battery).
-STAGES = ("invariants", "differential", "fastpath", "oracles", "service",
-          "inference", "pim")
+STAGES = ("invariants", "differential", "fastpath", "oracles", "inference",
+          "pim")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,11 +48,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--skip-differential", action="store_true",
-        help="run only the invariant checkers",
+        help="skip the differential sweep",
     )
     parser.add_argument(
         "--skip-invariants", action="store_true",
-        help="run only the differential sweep",
+        help="skip the invariant checkers",
     )
     parser.add_argument(
         "--skip-fastpath", action="store_true",
@@ -61,14 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--skip-oracles", action="store_true",
         help="skip the scalar-vs-vectorized oracle differential",
-    )
-    parser.add_argument(
-        "--skip-service", action="store_true",
-        help="skip the submitted-vs-direct service differential",
-    )
-    parser.add_argument(
-        "--service-lines", type=int, default=64,
-        help="patternscan size for the service differential (default: 64)",
     )
     parser.add_argument(
         "--skip-inference", action="store_true",
@@ -128,14 +120,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.check.oracles import run_oracles
 
         report = run_oracles(seed=args.seed)
-        print(report.render())
-        if not report.ok:
-            failures += len(report.divergences)
-
-    if wants("service"):
-        from repro.check.service import run_service_check
-
-        report = run_service_check(lines=args.service_lines)
         print(report.render())
         if not report.ok:
             failures += len(report.divergences)

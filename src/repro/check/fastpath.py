@@ -371,7 +371,7 @@ def run_figure_grid_equivalence(
     """Every figure RunSpec at a small scale, fast vs its event twin.
 
     The fast specs come from :func:`figure_specs(..., mode="fast")` —
-    the exact specs the harnesses, bench suite, and serve jobs submit —
+    the exact specs the harnesses and the bench suite run —
     and each is compared against ``dataclasses.replace(spec,
     mode="event")`` run through the same :func:`execute_spec` dispatch.
     """

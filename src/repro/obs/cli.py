@@ -6,10 +6,12 @@ schema before it touches disk) that loads directly in Perfetto.
 ``metrics`` runs the same specs with metrics-only observation and dumps
 the merged registry snapshot as JSON.
 
-Observed runs flow through the normal pool + result cache — the
-``obs`` flag on each spec keeps their cache entries separate from
-plain runs, so tracing a figure never poisons (or is served from) the
-untraced cache population.
+Both verbs run through the normal process pool. ``metrics`` also uses
+the result cache — the ``obs`` flag on each spec keeps its entries
+separate from plain runs. ``trace`` always simulates afresh: the
+per-run event limit reaches the workers through ``REPRO_TRACE_LIMIT``,
+which the cache key does not include, so a cached trace could have
+been recorded at another limit.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ def run_trace(
           f"({len(specs)} runs, limit {limit} events/run)")
     os.environ["REPRO_TRACE_LIMIT"] = str(limit)
     try:
-        records = run_specs(specs, jobs=jobs)
+        records = run_specs(specs, jobs=jobs, cache=None)
     finally:
         del os.environ["REPRO_TRACE_LIMIT"]
 
@@ -62,10 +64,7 @@ def run_trace(
     dropped = 0
     for spec, record in zip(specs, records):
         if not isinstance(record, ObsRun) or record.trace_events is None:
-            raise RuntimeError(
-                f"run {spec_label(spec)} returned no trace; "
-                "was the cache populated by a non-obs build?"
-            )
+            raise RuntimeError(f"run {spec_label(spec)} returned no trace")
         runs.append((spec_label(spec), record.trace_events))
         dropped += record.dropped_events
 

@@ -47,11 +47,16 @@ PROFILE_TOP_N = 25
 
 @dataclass
 class BenchCase:
-    """One timed workload: either a spec batch or a plain callable."""
+    """One timed workload: either a spec batch or a plain callable.
+
+    ``reference`` names the case this one is timed against: when both
+    run, the payload's ``twins`` block records their wall-clock ratio.
+    """
 
     name: str
     specs: list[RunSpec] = field(default_factory=list)
     func: Callable[[], Any] | None = None
+    reference: str | None = None
 
 
 def _genverify_workload(vectorized: bool) -> Callable[[], Any]:
@@ -129,9 +134,9 @@ def bench_cases(scale) -> list[BenchCase]:
 
     At ``scale=paper`` the event-mode figure cases are dropped: the
     paper-scale workloads exist *because* of the vectorized path, and
-    an event twin would run for hours. The fixed-size sweep pair and
-    the genverify pair still run, so the fast-path and
-    generation-speedup blocks stay populated.
+    an event twin would run for hours. Their fast twins then have no
+    reference to be timed against; the fixed-size sweep pair and the
+    genverify pair still run, so the ``twins`` block stays populated.
     """
     from repro.harness.fig7_patterns import render_figure7
     from repro.harness.patternscan import pattern_sweep_specs
@@ -160,9 +165,8 @@ def bench_cases(scale) -> list[BenchCase]:
             )
         if figure not in FAST_FIGURES:
             continue
-        # The same figure on the vectorized engine: the wall-clock
-        # ratio against the event twin above is the per-figure
-        # fast-path speedup recorded in the "fastpath" block.
+        # The same figure on the vectorized engine, timed against the
+        # event case above: the per-figure fast-path speedup.
         cases.append(
             BenchCase(
                 f"{case_names[figure]}-fast",
@@ -170,20 +174,21 @@ def bench_cases(scale) -> list[BenchCase]:
                     dataclasses.replace(spec, obs="metrics")
                     for spec in figure_specs(figure, scale, mode="fast")
                 ],
+                reference=case_names[figure],
             )
         )
-    # Scalar-vs-columnar oracle twins (no simulator): the recorded
-    # generation+verify speedup. Names must not end in "-fast" — that
-    # suffix pairs event/fast *figure* cases into the fastpath block.
+    # Scalar-vs-columnar oracle twins (no simulator): the
+    # generation+verify speedup.
     cases.append(
         BenchCase("genverify-scalar", func=_genverify_workload(False))
     )
     cases.append(
-        BenchCase("genverify-vec", func=_genverify_workload(True))
+        BenchCase("genverify-vec", func=_genverify_workload(True),
+                  reference="genverify-scalar")
     )
-    # The same strided sweep on both substrates: the wall-clock ratio is
-    # the recorded fast-path speedup (see docs/PERFORMANCE.md), and the
-    # equivalence of the two results is asserted by repro.check.fastpath.
+    # The same strided sweep on both substrates: the fast-path speedup
+    # (see docs/PERFORMANCE.md); repro.check.fastpath asserts that the
+    # two results are equal.
     cases.append(
         BenchCase(
             "fig7-sweep-event",
@@ -196,6 +201,7 @@ def bench_cases(scale) -> list[BenchCase]:
             "fig7-sweep-fast",
             specs=pattern_sweep_specs(lines=SWEEP_LINES, mode="fast",
                                       obs="metrics"),
+            reference="fig7-sweep-event",
         )
     )
     return cases
@@ -361,12 +367,13 @@ def run_bench(
         cache_dir = scratch.name
     cache = ResultCache(cache_dir)
 
+    cases = bench_cases(scale)
     cases_out = []
     total_wall = 0.0
     total_events = 0.0
     profiles: dict[str, str] = {}
     try:
-        for case in bench_cases(scale):
+        for case in cases:
             profiler = cProfile.Profile() if profile else None
             if profiler is not None:
                 profiler.enable()
@@ -422,41 +429,18 @@ def run_bench(
         if scratch is not None:
             scratch.cleanup()
 
-    by_name = {case["name"]: case for case in cases_out}
-    fastpath = None
-    if "fig7-sweep-event" in by_name and "fig7-sweep-fast" in by_name:
-        event_wall = by_name["fig7-sweep-event"]["wall_s"]
-        fast_wall = by_name["fig7-sweep-fast"]["wall_s"]
-        fastpath = {
-            "sweep_lines": SWEEP_LINES,
-            "event_wall_s": event_wall,
-            "fast_wall_s": fast_wall,
-            "speedup": event_wall / fast_wall if fast_wall else None,
+    walls = {case["name"]: case["wall_s"] for case in cases_out}
+    twins = {
+        case.name: {
+            "reference": case.reference,
+            "reference_wall_s": walls[case.reference],
+            "wall_s": walls[case.name],
+            "speedup": (walls[case.reference] / walls[case.name]
+                        if walls[case.name] else None),
         }
-    figure_speedups = {}
-    for name, case in by_name.items():
-        if not name.endswith("-fast") or name[: -len("-fast")] not in by_name:
-            continue
-        event_wall = by_name[name[: -len("-fast")]]["wall_s"]
-        fast_wall = case["wall_s"]
-        figure_speedups[name[: -len("-fast")]] = {
-            "event_wall_s": event_wall,
-            "fast_wall_s": fast_wall,
-            "speedup": event_wall / fast_wall if fast_wall else None,
-        }
-    if figure_speedups:
-        fastpath = dict(fastpath or {}, figures=figure_speedups)
-
-    genverify = None
-    if "genverify-scalar" in by_name and "genverify-vec" in by_name:
-        scalar_wall = by_name["genverify-scalar"]["wall_s"]
-        vec_wall = by_name["genverify-vec"]["wall_s"]
-        genverify = {
-            "scale": "full",
-            "scalar_wall_s": scalar_wall,
-            "vec_wall_s": vec_wall,
-            "speedup": scalar_wall / vec_wall if vec_wall else None,
-        }
+        for case in cases
+        if case.reference in walls
+    }
 
     stage_totals: dict[str, float] = {}
     for case in cases_out:
@@ -464,15 +448,14 @@ def run_bench(
             stage_totals[name] = stage_totals.get(name, 0.0) + seconds
 
     payload = {
-        "schema": 2,  # 2: attribution sourced from the metrics registry
+        "schema": 3,  # 3: paired-case speedups in one twins block
         "timestamp": datetime.datetime.now().isoformat(timespec="seconds"),
         "scale": scale.name,
         "jobs": jobs,
         "machine": machine_fingerprint(),
         "code_version": code_version(),
         "cases": cases_out,
-        "fastpath": fastpath,
-        "genverify": genverify,
+        "twins": twins,
         "stages": stage_totals,
         "cache": dict(cache.stats, hit_rate=cache.hit_rate),
         "totals": {
@@ -523,7 +506,7 @@ def render_summary(payload: dict) -> str:
         f"({payload['machine']['hostname']}, py{payload['machine']['python']})"
     ]
     for case in payload["cases"]:
-        line = f"  {case['name']:<18} {case['wall_s']:8.3f}s cold"
+        line = f"  {case['name']:<22} {case['wall_s']:8.3f}s cold"
         if case["warm_speedup"]:
             line += (
                 f"  {case['warm_wall_s']:8.4f}s warm"
@@ -545,29 +528,12 @@ def render_summary(payload: dict) -> str:
             for name, seconds in sorted(stage_totals.items())
         )
         lines.append(f"  stages: {breakdown}")
-    genverify = payload.get("genverify")
-    if genverify and genverify.get("speedup"):
-        lines.append(
-            f"  genverify (scale={genverify['scale']}): "
-            f"{genverify['speedup']:.1f}x vectorized "
-            f"({genverify['scalar_wall_s']:.3f}s -> "
-            f"{genverify['vec_wall_s']:.3f}s)"
-        )
-    fastpath = payload.get("fastpath")
-    if fastpath and fastpath.get("speedup"):
-        lines.append(
-            f"  fast path: {fastpath['speedup']:.1f}x vs event sweep "
-            f"({fastpath['event_wall_s']:.3f}s -> "
-            f"{fastpath['fast_wall_s']:.3f}s)"
-        )
-    if fastpath:
-        for figure, entry in sorted(fastpath.get("figures", {}).items()):
-            if entry.get("speedup"):
-                lines.append(
-                    f"  fast path {figure}: {entry['speedup']:.1f}x "
-                    f"({entry['event_wall_s']:.3f}s -> "
-                    f"{entry['fast_wall_s']:.3f}s)"
-                )
+    for name, twin in payload["twins"].items():
+        if twin["speedup"]:
+            lines.append(
+                f"  {name}: {twin['speedup']:.1f}x vs {twin['reference']} "
+                f"({twin['reference_wall_s']:.3f}s -> {twin['wall_s']:.3f}s)"
+            )
     verdict = payload.get("regression_check")
     if verdict:
         status = verdict["status"]

@@ -97,13 +97,14 @@ class ResultCache:
         digest = hashlib.sha256(payload).hexdigest().encode()
         path = self.path_for(key)
         # Write to a uniquely-named temp file in the same directory,
-        # then atomically rename over the entry. A pid-based temp name
-        # is not enough once the service makes multi-writer puts the
-        # common case: two threads of one process (or a recycled pid)
-        # would interleave writes into the same temp file and publish a
-        # torn entry. mkstemp gives every writer its own file; the
-        # losing os.replace simply overwrites the winner with an
-        # identical, complete entry.
+        # then atomically rename over the entry. Two processes or
+        # threads can share one cache directory (pool workers, parallel
+        # test runs), and a pid-based temp name is not enough: two
+        # threads of one process (or a recycled pid) would interleave
+        # writes into the same temp file and publish a torn entry.
+        # mkstemp gives every writer its own file; the losing
+        # os.replace simply overwrites the winner with an identical,
+        # complete entry.
         handle, temporary = tempfile.mkstemp(
             dir=self.root, prefix=path.stem, suffix=".tmp"
         )

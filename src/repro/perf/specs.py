@@ -164,10 +164,7 @@ def _execute_driver(spec: RunSpec) -> Any:
     params = dict(spec.params)
     if spec.kind == "transactions":
         mix = params.pop("mix")
-        if isinstance(mix, dict):
-            # Wire form: dataclasses.asdict flattened the mix.
-            mix = TransactionMix(**mix)
-        elif not isinstance(mix, TransactionMix):
+        if not isinstance(mix, TransactionMix):
             mix = TransactionMix(*mix)
         if spec.seed is not None:
             params.setdefault("seed", spec.seed)
@@ -180,9 +177,7 @@ def _execute_driver(spec: RunSpec) -> Any:
         )
     if spec.kind == "analytics":
         query = params.pop("query")
-        if isinstance(query, dict):
-            query = AnalyticsQuery(tuple(query["fields"]))
-        elif not isinstance(query, AnalyticsQuery):
+        if not isinstance(query, AnalyticsQuery):
             query = AnalyticsQuery(tuple(query))
         return run_analytics(
             make_layout(spec.layout),

@@ -34,9 +34,8 @@ class RunResult:
     #: Host wall-time attribution (setup / generate / run / verify
     #: seconds) recorded by the experiment drivers. Deliberately NOT
     #: part of :meth:`to_dict` (fast-mode goldens compare dicts
-    #: exactly), excluded from equality (two seeded runs are the same
-    #: result even though their wall times differ), and scrubbed from
-    #: serve digests (see ``repro.serve.protocol``).
+    #: exactly) and excluded from equality (two seeded runs are the
+    #: same result even though their wall times differ).
     stages: dict[str, float] = field(default_factory=dict, compare=False)
 
     @property

@@ -4,7 +4,9 @@ import pathlib
 
 import pytest
 
+import repro
 from repro.__main__ import main
+from repro.perf.cache import code_version
 
 
 class TestCLI:
@@ -30,11 +32,21 @@ class TestCLI:
 
     @pytest.mark.parametrize("argv", [["bench", "--cluster", "2"],
                                       ["serve", "--cluster", "2"],
-                                      ["check", "cluster"]])
+                                      ["check", "cluster"],
+                                      ["submit", "--figure", "fig9"],
+                                      ["jobs"],
+                                      ["check", "service"],
+                                      ["check", "--skip-service"]])
     def test_cluster_surface_is_gone(self, argv):
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
+
+    @pytest.mark.parametrize("flag", ["--version", "-V"])
+    def test_version_prints_code_hash(self, flag, capsys):
+        assert main([flag]) == 0
+        expected = f"repro {repro.__version__} (code {code_version()[:16]})"
+        assert capsys.readouterr().out == expected + "\n"
 
 
 class TestCheckCommand:

@@ -1,10 +1,9 @@
 """Mode handling in the per-figure spec sets (satellite of phase 2).
 
 Every fast-capable figure's fast spec set must (a) execute end-to-end
-on the vectorized engine with verified results, (b) key the result
-cache separately from its event twin, and (c) be accepted by the
-simulation service like any other spec. The other families must
-refuse fast mode.
+on the vectorized engine with verified results and (b) key the result
+cache separately from its event twin. The other families must refuse
+fast mode.
 """
 
 import dataclasses
@@ -14,11 +13,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.harness.common import Scale
 from repro.harness.specsets import FAST_FIGURES, SPEC_FIGURES, figure_specs
-from repro.perf.cache import ResultCache
 from repro.perf.specs import cache_key, execute_spec
-from repro.serve.protocol import DONE
-from repro.serve.server import ServeConfig
-from repro.serve.testing import ServerThread
 
 #: Small enough that even the event twins stay sub-second.
 TINY = Scale(
@@ -75,22 +70,3 @@ class TestFastSpecSets:
             assert [cache_key(s) for s in default] == [
                 cache_key(s) for s in explicit
             ]
-
-
-class TestServeAcceptsFastSpecs:
-    def test_every_figure_fast_spec_submits_and_completes(self, tmp_path):
-        settings = ServeConfig(
-            port=0,
-            executor="thread",
-            workers=2,
-            state_dir=str(tmp_path / "state"),
-            request_log=False,
-            drain_deadline=10.0,
-        )
-        cache = ResultCache(tmp_path / "cache")
-        with ServerThread(settings, cache=cache) as handle:
-            client = handle.client()
-            for figure in FAST_FIGURES:
-                spec = figure_specs(figure, TINY, mode="fast")[0]
-                response = client.submit(spec, wait=True, timeout=60.0)
-                assert response["job"]["state"] == DONE, figure

@@ -44,6 +44,20 @@ class TestRunTrace:
         assert payload["otherData"]["dropped_events"] > 0
         assert "dropped" in capsys.readouterr().out
 
+    def test_limit_is_honoured_with_the_result_cache_on(self, tiny_figure,
+                                                        tmp_path, monkeypatch):
+        # The limit is not part of the cache key, so a trace served from
+        # the cache would keep the first run's cap.
+        monkeypatch.setenv("REPRO_CACHE", "1")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        capped, full = tmp_path / "capped.json", tmp_path / "full.json"
+        assert obs_cli.run_trace("fig13", out=str(capped), limit=10) == 0
+        assert obs_cli.run_trace("fig13", out=str(full)) == 0
+        payload = json.loads(full.read_text())
+        data_events = [e for e in payload["traceEvents"] if e["ph"] != "M"]
+        assert len(data_events) > 10
+        assert payload["otherData"]["dropped_events"] == 0
+
 
 class TestRunMetrics:
     def test_writes_namespaced_snapshot(self, tiny_figure, tmp_path):

@@ -1,10 +1,13 @@
 """The bench CLI machinery: payload shape, baselines, regressions."""
 
 import json
+import time
 
 import pytest
 
+from repro.perf import bench
 from repro.perf.bench import (
+    BenchCase,
     bench_cases,
     compare_to_baseline,
     latest_baseline,
@@ -13,6 +16,17 @@ from repro.perf.bench import (
     run_bench,
 )
 from repro.harness.common import scale_by_name
+
+
+#: Every timed twin and the case it is timed against.
+TWIN_REFERENCES = {
+    "fig9-transactions-fast": "fig9-transactions",
+    "fig10-analytics-fast": "fig10-analytics",
+    "fig11-htap-fast": "fig11-htap",
+    "fig13-gemm-fast": "fig13-gemm",
+    "fig7-sweep-fast": "fig7-sweep-event",
+    "genverify-vec": "genverify-scalar",
+}
 
 
 def _payload(wall, machine=None):
@@ -99,8 +113,8 @@ class TestBenchCases:
         names = {case.name for case in bench_cases(scale_by_name("paper"))}
         assert "fig9-transactions" not in names
         assert "fig9-transactions-fast" in names
-        # The fixed-size pairs survive so fastpath/genverify blocks
-        # stay populated at paper scale.
+        # The fixed-size pairs survive so the twins block stays
+        # populated at paper scale.
         assert {"fig7-sweep-event", "fig7-sweep-fast",
                 "genverify-scalar", "genverify-vec"} <= names
 
@@ -111,6 +125,14 @@ class TestBenchCases:
             assert {s.mode for s in cases[name].specs} == {"fast"}, name
             event_twin = cases[name.removesuffix("-fast")]
             assert {s.mode for s in event_twin.specs} == {"event"}, name
+
+    def test_references_name_cases_in_the_suite(self):
+        cases = bench_cases(scale_by_name("quick"))
+        names = {case.name for case in cases}
+        references = {case.name: case.reference for case in cases
+                      if case.reference is not None}
+        assert references == TWIN_REFERENCES
+        assert set(references.values()) <= names
 
     def test_sweep_cases_differ_only_in_mode(self):
         cases = {case.name: case for case in bench_cases(scale_by_name("quick"))}
@@ -128,6 +150,24 @@ class TestBenchCases:
                 assert cache_key(spec)
 
 
+class TestTwins:
+    def test_entry_only_when_the_reference_ran(self, tmp_path, monkeypatch):
+        cases = [
+            BenchCase("slow", func=lambda: time.sleep(0.02)),
+            BenchCase("quick", func=lambda: None, reference="slow"),
+            BenchCase("orphan", func=lambda: None, reference="absent"),
+        ]
+        monkeypatch.setattr(bench, "bench_cases", lambda scale: cases)
+        payload, _ = run_bench(results_dir=tmp_path, write=False,
+                               check_regression=False)
+        assert set(payload["twins"]) == {"quick"}
+        twin = payload["twins"]["quick"]
+        assert twin["reference"] == "slow"
+        assert twin["speedup"] == twin["reference_wall_s"] / twin["wall_s"]
+        assert twin["speedup"] > 1.0
+        assert "quick: " in render_summary(payload)
+
+
 @pytest.mark.slow
 class TestRunBench:
     def test_end_to_end_writes_baseline_and_detects_regression(
@@ -139,8 +179,13 @@ class TestRunBench:
             scale_name="quick", jobs=1, results_dir=results
         )
         assert code == 0  # no baseline yet: nothing to regress against
-        assert payload["schema"] == 2
-        assert payload["fastpath"]["speedup"] > 1.0
+        assert payload["schema"] == 3
+        twins = payload["twins"]
+        references = {name: twin["reference"] for name, twin in twins.items()}
+        assert references == TWIN_REFERENCES
+        for name, twin in twins.items():
+            assert twin["speedup"] > 1.0, (name, twin)
+        assert twins["genverify-vec"]["speedup"] >= 3.0
         assert payload["scale"] == "quick"
         assert payload["totals"]["wall_s"] > 0
         assert payload["totals"]["events"] > 0
@@ -160,7 +205,6 @@ class TestRunBench:
             # window, so their sum cannot exceed the cold wall-clock.
             assert sum(case["stages"].values()) <= case["wall_s"] * 1.05, name
         assert payload["stages"]
-        assert payload["genverify"]["speedup"] > 1.0
 
         written = list(results.glob("BENCH_*.json"))
         assert len(written) == 1

@@ -2,7 +2,10 @@
 
 The set index is derived from the line address only; the pattern ID
 extends the *tag* (Section 4.1), so a pattern-0 line and a gathered
-line for the same column may coexist in one set. Replacement is LRU.
+line for the same column may coexist in one set. Replacement is LRU,
+kept by dict order: each set's dict runs from least to most recently
+used, a touch moves the line to the end, and the victim is the first
+key.
 
 The cache is a passive container: miss handling, writebacks, and
 coherence live in :class:`repro.cache.hierarchy.CacheHierarchy`.
@@ -42,10 +45,10 @@ class Cache:
             raise ConfigError(f"{name}: set count {self.num_sets} not a power of two")
         self._offset_bits = ilog2(line_bytes)
         self._set_mask = self.num_sets - 1
+        #: One dict per set, in recency order (least recent first).
         self._sets: list[dict[tuple[int, int], CacheLine]] = [
             {} for _ in range(self.num_sets)
         ]
-        self._tick = 0
         self.stats = StatGroup(name)
 
     # ------------------------------------------------------------------
@@ -53,16 +56,20 @@ class Cache:
         """Set selected by a line address (pattern-independent)."""
         return (line_address >> self._offset_bits) & self._set_mask
 
-    def _touch(self, line: CacheLine) -> None:
-        self._tick += 1
-        line.last_touch = self._tick
-
     # ------------------------------------------------------------------
     def lookup(self, line_address: int, pattern: int, touch: bool = True) -> CacheLine | None:
-        """Return the resident line for (address, pattern), or None."""
-        line = self._sets[self.set_index(line_address)].get((line_address, pattern))
-        if line is not None and touch:
-            self._touch(line)
+        """Return the resident line for (address, pattern), or None.
+
+        ``touch`` makes the line the most recently used of its set.
+        """
+        # ``set_index`` inlined: this runs on every access.
+        lines = self._sets[(line_address >> self._offset_bits) & self._set_mask]
+        key = (line_address, pattern)
+        if not touch:
+            return lines.get(key)
+        line = lines.pop(key, None)
+        if line is not None:
+            lines[key] = line
         return line
 
     def fill(
@@ -77,23 +84,21 @@ class Cache:
         If the line is already resident its data is replaced in place
         (used when a newer copy arrives from an inner level).
         """
-        target_set = self._sets[self.set_index(line_address)]
-        existing = target_set.get((line_address, pattern))
+        lines = self._sets[self.set_index(line_address)]
+        key = (line_address, pattern)
+        existing = lines.pop(key, None)
         if existing is not None:
             existing.data = data
             existing.dirty = existing.dirty or dirty
-            self._touch(existing)
+            lines[key] = existing
             return None
         victim = None
-        if len(target_set) >= self.associativity:
-            victim = min(target_set.values(), key=lambda l: l.last_touch)
-            del target_set[victim.key]
+        if len(lines) >= self.associativity:
+            victim = lines.pop(next(iter(lines)))
             self.stats.add("evictions")
             if victim.dirty:
                 self.stats.add("dirty_evictions")
-        line = CacheLine(line_address, pattern, data, dirty)
-        self._touch(line)
-        target_set[line.key] = line
+        lines[key] = CacheLine(line_address, pattern, data, dirty)
         self.stats.add("fills")
         return victim
 
@@ -103,8 +108,8 @@ class Cache:
         The caller decides what to do with a dirty victim (write back or
         discard); the cache only tracks the invalidation.
         """
-        target_set = self._sets[self.set_index(line_address)]
-        line = target_set.pop((line_address, pattern), None)
+        lines = self._sets[self.set_index(line_address)]
+        line = lines.pop((line_address, pattern), None)
         if line is not None:
             self.stats.add("invalidations")
         return line

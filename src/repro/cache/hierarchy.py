@@ -24,32 +24,31 @@ Design notes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.cache.cache import Cache
 from repro.cache.dbi import DirtyBlockIndex
-from repro.cache.prefetcher import PrefetchCandidate, StridePrefetcher
+from repro.cache.prefetcher import StridePrefetcher
 from repro.errors import CoherenceError
 from repro.mem.controller import MemoryController
 from repro.mem.request import MemoryRequest, RequestKind
 from repro.utils.events import Engine
 from repro.utils.statistics import StatGroup
 
+# Bound once: reading a member off an enum class runs Python-level code.
+_READ = RequestKind.READ
+_WRITE = RequestKind.WRITE
+_PREFETCH = RequestKind.PREFETCH
 
-@dataclass
-class _Waiter:
-    """A demand access merged into an outstanding miss."""
-
-    core_id: int
-    offset: int
-    size: int
-    is_write: bool
-    payload: bytes | None
-    callback: Callable[[bytes], None] | None
+#: A demand access merged into an outstanding miss, as a plain tuple
+#: (one is built per miss): (core_id, offset, size, is_write, payload,
+#: callback).
+_Waiter = tuple[int, int, int, bool, "bytes | None",
+                "Callable[[bytes], None] | None"]
 
 
-@dataclass
+@dataclass(slots=True)
 class _Miss:
     """One outstanding fetch (MSHR entry)."""
 
@@ -58,8 +57,8 @@ class _Miss:
     shuffled: bool
     alt_pattern: int
     demand: bool
-    waiters: list[_Waiter] = field(default_factory=list)
-    issued_at: int = 0
+    waiters: list[_Waiter]
+    issued_at: int
 
 
 class CacheHierarchy:
@@ -83,6 +82,9 @@ class CacheHierarchy:
         self.module = controller.module
         line_bytes = self.module.line_bytes
         self.line_bytes = line_bytes
+        self._line_mask = ~(line_bytes - 1)
+        self._capacity = self.module.geometry.capacity_bytes
+        self._patterns = self.module.supports_patterns
         self.l1s = [
             Cache(f"l1_core{i}", l1_size, l1_assoc, line_bytes, l1_latency)
             for i in range(num_cores)
@@ -100,9 +102,6 @@ class CacheHierarchy:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _line_address(self, address: int) -> int:
-        return address & ~(self.line_bytes - 1)
-
     def _row_key(self, line_address: int) -> tuple[int, int]:
         loc = self.module.decode(line_address)
         return (loc.bank, loc.row)
@@ -140,7 +139,7 @@ class CacheHierarchy:
         """
         if start_time is None:
             start_time = self.engine.now
-        line_address = self._line_address(address)
+        line_address = address & self._line_mask
         offset = address - line_address
         if offset + size > self.line_bytes:
             raise CoherenceError(
@@ -202,7 +201,7 @@ class CacheHierarchy:
             return (latency, new_line.read(offset, size))
         self.l2.stats.add("misses")
 
-        waiter = _Waiter(core_id, offset, size, is_write, payload, callback)
+        waiter = (core_id, offset, size, is_write, payload, callback)
         self._start_fetch(
             line_address, pattern, shuffled, alt_pattern, pc,
             demand=True, waiter=waiter, start_time=start_time, core_id=core_id,
@@ -256,18 +255,24 @@ class CacheHierarchy:
 
     def _overlap_keys(
         self, line_address: int, pattern: int, alt_pattern: int
-    ) -> list[tuple[int, int]]:
-        """Line keys of the *other* pattern sharing data with this line."""
+    ) -> tuple[tuple[int, int] | None, list[tuple[int, int]]]:
+        """Line keys of the *other* pattern sharing data with this line.
+
+        Returned with the line's DRAM row key (``None`` when there are
+        no keys), since every overlapping line lives in that row.
+        """
         other = alt_pattern if pattern == 0 else 0
         nonzero = pattern if pattern != 0 else alt_pattern
-        if nonzero == 0 or not self.module.supports_patterns:
-            return []
+        if nonzero == 0 or not self._patterns:
+            return None, []
         loc = self.module.decode(line_address)
         columns = self.module.overlapping_columns(loc.column, nonzero)
-        return [
-            (self.module.mapping.encode(loc.bank, loc.row, column), other)
+        encode = self.module.mapping.encode
+        keys = [
+            (encode(loc.bank, loc.row, column), other)
             for column in sorted(columns)
         ]
+        return (loc.bank, loc.row), keys
 
     def _invalidate_overlaps(
         self,
@@ -278,9 +283,8 @@ class CacheHierarchy:
         start_time: int,
     ) -> None:
         """On a store: invalidate overlapping other-pattern lines everywhere."""
-        for other_address, other_pattern in self._overlap_keys(
-            line_address, pattern, alt_pattern
-        ):
+        _row_key, keys = self._overlap_keys(line_address, pattern, alt_pattern)
+        for other_address, other_pattern in keys:
             self._evict_everywhere(other_address, other_pattern, shuffled, start_time)
 
     def _flush_dirty_overlaps(
@@ -292,10 +296,11 @@ class CacheHierarchy:
         start_time: int,
     ) -> None:
         """Before a fetch: flush dirty overlapping other-pattern lines."""
-        candidates = self._overlap_keys(line_address, pattern, alt_pattern)
+        row_key, candidates = self._overlap_keys(
+            line_address, pattern, alt_pattern
+        )
         if not candidates:
             return
-        row_key = self._row_key(line_address)
         dirty = self.dbi.dirty_overlaps(row_key, set(candidates))
         for other_address, other_pattern in dirty:
             self.stats.add("prefetch_flushes")
@@ -350,7 +355,7 @@ class CacheHierarchy:
     # ------------------------------------------------------------------
     def _line_shuffled(self, line) -> bool:
         if line.annotation_shuffled is None:
-            return self.module.supports_patterns
+            return self._patterns
         return line.annotation_shuffled
 
     def _writeback(self, line, start_time: int) -> None:
@@ -363,11 +368,11 @@ class CacheHierarchy:
         self.stats.add("writebacks")
         request = MemoryRequest(
             address=line.line_address,
-            kind=RequestKind.WRITE,
+            kind=_WRITE,
             pattern=line.pattern,
             shuffled=shuffled,
+            annotations={"no_data": True},
         )
-        request.annotations["no_data"] = True
         self._submit(request, start_time)
 
     def _fill_l1(
@@ -426,25 +431,23 @@ class CacheHierarchy:
             if demand:
                 miss.demand = True
             return
-        miss = _Miss(line_address, pattern, shuffled, alt_pattern, demand,
-                     issued_at=start_time)
-        if waiter is not None:
-            miss.waiters.append(waiter)
-        self._misses[key] = miss
+        self._misses[key] = _Miss(
+            line_address, pattern, shuffled, alt_pattern, demand,
+            [waiter] if waiter is not None else [], start_time,
+        )
         self._flush_dirty_overlaps(
             line_address, pattern, alt_pattern, shuffled, start_time
         )
         request = MemoryRequest(
             address=line_address,
-            kind=RequestKind.READ if demand else RequestKind.PREFETCH,
+            kind=_READ if demand else _PREFETCH,
             pattern=pattern,
             shuffled=shuffled,
             pc=pc,
             core_id=core_id,
             callback=self._fill_complete,
+            annotations={"no_data": True, "miss_key": key},
         )
-        request.annotations["no_data"] = True
-        request.annotations["miss_key"] = key
         self._submit(request, start_time)
 
     def _submit(self, request: MemoryRequest, start_time: int) -> None:
@@ -454,8 +457,7 @@ class CacheHierarchy:
             self.controller.submit(request)
 
     def _fill_complete(self, request: MemoryRequest) -> None:
-        key = request.annotations["miss_key"]
-        miss = self._misses.pop(key)
+        miss = self._misses.pop(request.annotations["miss_key"])
         data = bytearray(
             self.module.read_line(miss.line_address, miss.pattern, miss.shuffled)
         )
@@ -476,27 +478,27 @@ class CacheHierarchy:
         # store's effect through to later waiters (two merged stores must
         # not clobber each other with the pristine fetched data).
         current = data
-        for waiter in miss.waiters:
+        for core_id, offset, size, is_write, payload, callback in miss.waiters:
             line = self._fill_l1(
-                waiter.core_id, miss.line_address, miss.pattern,
+                core_id, miss.line_address, miss.pattern,
                 bytearray(current), now,
             )
-            if waiter.is_write:
+            if is_write:
                 # Write-invalidate: earlier waiters' copies in other L1s
                 # (and the L2 copy) must go before this store lands.
                 self._snoop_flush(
                     miss.line_address, miss.pattern,
-                    exclude_core=waiter.core_id, start_time=now,
+                    exclude_core=core_id, start_time=now,
                     invalidate=True,
                 )
                 self.l2.invalidate(miss.line_address, miss.pattern)
                 self._apply_store(
-                    waiter.core_id, line, waiter.offset, waiter.payload,
+                    core_id, line, offset, payload,
                     miss.pattern, miss.shuffled, miss.alt_pattern, now,
                 )
                 current = bytearray(line.data)
-            if waiter.callback is not None:
-                waiter.callback(line.read(waiter.offset, waiter.size))
+            if callback is not None:
+                callback(line.read(offset, size))
 
     # ------------------------------------------------------------------
     # Prefetching
@@ -511,24 +513,25 @@ class CacheHierarchy:
         alt_pattern: int,
         start_time: int,
     ) -> None:
+        """Fetch each predicted line into L2 with the demand's context.
+
+        A prediction is dropped when it lies past the module, is
+        already in flight, or is already in L2.
+        """
         if self.prefetcher is None or pc == 0:
             return
-        for candidate in self.prefetcher.observe(
-            pc, address, pattern, shuffled, alt_pattern, core_id=core_id
-        ):
-            self._issue_prefetch(candidate, start_time)
-
-    def _issue_prefetch(self, candidate: PrefetchCandidate, start_time: int) -> None:
-        line_address = self._line_address(candidate.address)
-        if line_address >= self.module.geometry.capacity_bytes:
-            return
-        if (line_address, candidate.pattern) in self._misses:
-            return
-        if self.l2.lookup(line_address, candidate.pattern, touch=False) is not None:
-            return
-        self.stats.add("prefetches_issued")
-        self._start_fetch(
-            line_address, candidate.pattern, candidate.shuffled,
-            candidate.alt_pattern, pc=0, demand=False, waiter=None,
-            start_time=start_time, core_id=0,
-        )
+        misses = self._misses
+        l2 = self.l2
+        for target in self.prefetcher.train(pc, address, core_id):
+            line_address = target & self._line_mask
+            if line_address >= self._capacity:
+                continue
+            if (line_address, pattern) in misses:
+                continue
+            if l2.lookup(line_address, pattern, touch=False) is not None:
+                continue
+            self.stats.add("prefetches_issued")
+            self._start_fetch(
+                line_address, pattern, shuffled, alt_pattern, pc=0,
+                demand=False, waiter=None, start_time=start_time, core_id=0,
+            )

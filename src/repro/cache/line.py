@@ -12,7 +12,7 @@ from __future__ import annotations
 class CacheLine:
     """One resident cache line; presence in its set implies validity."""
 
-    __slots__ = ("line_address", "pattern", "data", "dirty", "last_touch", "annotation_shuffled")
+    __slots__ = ("line_address", "pattern", "data", "dirty", "annotation_shuffled")
 
     def __init__(
         self,
@@ -25,7 +25,6 @@ class CacheLine:
         self.pattern = pattern
         self.data = data
         self.dirty = dirty
-        self.last_touch = 0
         self.annotation_shuffled: bool | None = None
 
     @property

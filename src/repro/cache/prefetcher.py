@@ -27,6 +27,14 @@ class _State(enum.Enum):
     NO_PRED = 3
 
 
+# Bound once: reading a member off an enum class runs Python-level code,
+# and the state machine runs on every L1 miss.
+_INITIAL = _State.INITIAL
+_TRANSIENT = _State.TRANSIENT
+_STEADY = _State.STEADY
+_NO_PRED = _State.NO_PRED
+
+
 @dataclass
 class _Entry:
     last_address: int
@@ -66,8 +74,22 @@ class StridePrefetcher:
     ) -> list[PrefetchCandidate]:
         """Train on a demand access; return prefetch candidates (if any).
 
+        Each candidate carries the demand access's pattern context.
+        """
+        return [
+            PrefetchCandidate(target, pattern, shuffled, alt_pattern)
+            for target in self.train(pc, address, core_id)
+        ]
+
+    def train(self, pc: int, address: int, core_id: int = 0) -> list[int]:
+        """Train on a demand access; return the addresses to prefetch.
+
         The table is keyed by (core, pc): each core has its own view of
-        a static instruction's stride, as per-core hardware would.
+        a static instruction's stride, as per-core hardware would. The
+        cache hierarchy calls this rather than :meth:`observe`: every
+        prefetch inherits the demand access's pattern context, so a
+        plain address list is all it needs, and most predictions are
+        dropped as already in flight or cached.
         """
         key = (core_id, pc)
         entry = self._table.get(key)
@@ -85,27 +107,25 @@ class StridePrefetcher:
         # STEADY -> INITIAL (the learned stride keeps one chance to
         # recover from a lone irregular access, so it is not overwritten).
         stride = address - entry.last_address
+        state = entry.state
         if stride == entry.stride and stride != 0:
-            if entry.state in (_State.INITIAL, _State.TRANSIENT):
-                entry.state = _State.STEADY
-            elif entry.state is _State.NO_PRED:
-                entry.state = _State.TRANSIENT
+            if state is _INITIAL or state is _TRANSIENT:
+                entry.state = state = _STEADY
+            elif state is _NO_PRED:
+                entry.state = state = _TRANSIENT
         else:
-            if entry.state is _State.STEADY:
-                entry.state = _State.INITIAL
+            if state is _STEADY:
+                entry.state = _INITIAL
                 entry.last_address = address
                 return []
-            if entry.state is _State.INITIAL:
-                entry.state = _State.TRANSIENT
-            else:
-                entry.state = _State.NO_PRED
+            entry.state = _TRANSIENT if state is _INITIAL else _NO_PRED
             entry.stride = stride
             entry.last_address = address
             return []
         entry.stride = stride
         entry.last_address = address
 
-        if entry.state is not _State.STEADY:
+        if state is not _STEADY:
             return []
         self.stats.add("predictions")
         # Sub-line strides are a stream sweeping consecutive cache lines;
@@ -117,18 +137,11 @@ class StridePrefetcher:
         else:
             step = stride
             base = address
-        candidates = []
+        targets = []
         for k in range(1, self.degree + 1):
             target = base + step * k
             if target < 0:
                 break
-            candidates.append(
-                PrefetchCandidate(
-                    address=target,
-                    pattern=pattern,
-                    shuffled=shuffled,
-                    alt_pattern=alt_pattern,
-                )
-            )
-        self.stats.add("candidates", len(candidates))
-        return candidates
+            targets.append(target)
+        self.stats.add("candidates", len(targets))
+        return targets

@@ -25,10 +25,8 @@ class Bank:
         self.next_activate = 0
         self.next_column = 0  # READ or WRITE
         self.next_precharge = 0
-        # Statistics.
+        # Statistics (row hits and misses are the controller's counters).
         self.activations = 0
-        self.row_hits = 0
-        self.row_misses = 0
 
     # ------------------------------------------------------------------
     # Scheduling queries
@@ -84,7 +82,6 @@ class Bank:
     def issue_read(self, row: int, now: int) -> int:
         """Issue a READ; returns the cycle the data burst completes."""
         self._check_column(row, now, "READ")
-        self.row_hits += 1
         timing = self.timing
         self.next_column = now + timing.t_ccd
         self.next_precharge = max(self.next_precharge, now + timing.t_rtp)
@@ -93,7 +90,6 @@ class Bank:
     def issue_write(self, row: int, now: int) -> int:
         """Issue a WRITE; returns the cycle the data burst completes."""
         self._check_column(row, now, "WRITE")
-        self.row_hits += 1
         timing = self.timing
         burst_end = now + timing.cwl + timing.t_bl
         self.next_column = max(now + timing.t_ccd, burst_end + timing.t_wtr)

@@ -235,7 +235,5 @@ class MultiChannelController:
     def queue_delay(self) -> Histogram:
         merged = Histogram(bucket_width=50)
         for controller in self.controllers:
-            for value, count in controller.queue_delay.buckets().items():
-                for _ in range(count):
-                    merged.observe(value)
+            merged.merge(controller.queue_delay)
         return merged

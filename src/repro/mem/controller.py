@@ -19,7 +19,7 @@ from typing import Callable
 
 from repro.dram.commands import Command, CommandKind
 from repro.dram.module import DRAMModule
-from repro.errors import SimulationError
+from repro.errors import ProtocolError, SimulationError
 from repro.mem.request import MemoryRequest, Phase, RequestKind
 from repro.mem.schedulers import FRFCFS, Scheduler
 from repro.utils.events import Engine
@@ -29,6 +29,18 @@ from repro.utils.statistics import Histogram, StatGroup
 #: memory request and must not re-format strings on the hot path.
 _KIND_STAT = {kind: f"requests_{kind.value}" for kind in RequestKind}
 _CMD_STAT = {kind: f"cmd_{kind.value}" for kind in CommandKind}
+
+# Enum members bound once: reading ``Phase.DONE`` off the class runs
+# Python-level enum code, and the phase machine compares on every step.
+_QUEUED = Phase.QUEUED
+_NEED_PRECHARGE = Phase.NEED_PRECHARGE
+_NEED_ACTIVATE = Phase.NEED_ACTIVATE
+_NEED_COLUMN = Phase.NEED_COLUMN
+_DONE = Phase.DONE
+_PRECHARGE = CommandKind.PRECHARGE
+_ACTIVATE = CommandKind.ACTIVATE
+_READ = CommandKind.READ
+_WRITE = CommandKind.WRITE
 
 
 class MemoryController:
@@ -80,13 +92,22 @@ class MemoryController:
     # ------------------------------------------------------------------
     def submit(self, request: MemoryRequest) -> None:
         """Queue a request; its callback fires when data is delivered."""
+        if request.pattern < 0:
+            # The request's one field a column command could reject:
+            # bank, row and column come from decode and are never
+            # negative. Checked here, once, because a Command record
+            # (whose audit would catch it) is built only when traced.
+            raise ProtocolError(
+                "row/column/pattern must be non-negative",
+                address=request.address, pattern=request.pattern,
+            )
         if self.refresh_enabled:
             self._maybe_refresh()
         request.arrival_time = self.engine.now
         request.location = self.module.decode(
             self.module.mapping.line_address(request.address)
         )
-        request.phase = Phase.QUEUED
+        request.phase = _QUEUED
         self.stats.add("requests")
         self.stats.add(_KIND_STAT[request.kind])
         if request.pattern:
@@ -115,13 +136,13 @@ class MemoryController:
         self._active[bank_id] = request
         assert request.location is not None
         if bank.is_open(request.location.row):
-            request.phase = Phase.NEED_COLUMN
+            request.phase = _NEED_COLUMN
             request.row_hit = True
         elif bank.open_row is None:
-            request.phase = Phase.NEED_ACTIVATE
+            request.phase = _NEED_ACTIVATE
             request.row_hit = False
         else:
-            request.phase = Phase.NEED_PRECHARGE
+            request.phase = _NEED_PRECHARGE
             request.row_hit = False
         self._advance(bank_id)
 
@@ -135,20 +156,21 @@ class MemoryController:
         bank = self.module.banks[bank_id]
         now = self.engine.now
         timing = self.module.timing
+        phase = request.phase
 
-        if request.phase is Phase.NEED_PRECHARGE:
+        # Each phase that issues its command falls through to the next
+        # one at the same cycle.
+        if phase is _NEED_PRECHARGE:
             earliest = max(bank.next_precharge, self._cmd_free, now)
             if earliest > now:
                 self.engine.schedule_at(earliest, self._advance, bank_id)
                 return
             bank.issue_precharge(now)
-            self._record_command(Command(CommandKind.PRECHARGE, bank=bank_id))
+            self._record_command(_PRECHARGE, bank_id)
             self._occupy_cmd_bus(now)
-            request.phase = Phase.NEED_ACTIVATE
-            self._advance(bank_id)
-            return
+            request.phase = phase = _NEED_ACTIVATE
 
-        if request.phase is Phase.NEED_ACTIVATE:
+        if phase is _NEED_ACTIVATE:
             earliest = max(
                 bank.next_activate, self._rank_next_activate, self._cmd_free, now
             )
@@ -166,18 +188,13 @@ class MemoryController:
             self._recent_activates.append(now)
             if len(self._recent_activates) > 4:
                 self._recent_activates.pop(0)
-            self._record_command(
-                Command(CommandKind.ACTIVATE, bank=bank_id,
-                        row=request.location.row)
-            )
+            self._record_command(_ACTIVATE, bank_id, request.location.row)
             self._occupy_cmd_bus(now)
             self._rank_next_activate = now + timing.t_rrd
-            request.phase = Phase.NEED_COLUMN
-            self._advance(bank_id)
-            return
+            request.phase = phase = _NEED_COLUMN
 
-        if request.phase is Phase.NEED_COLUMN:
-            cas = timing.cwl if request.is_write else timing.cl
+        if phase is _NEED_COLUMN:
+            cas = timing.cwl if request.kind.is_write else timing.cl
             earliest = max(
                 bank.next_column, self._cmd_free, self._bus_free - cas, now
             )
@@ -191,22 +208,16 @@ class MemoryController:
 
     def _issue_column(self, bank_id: int, request: MemoryRequest, now: int) -> None:
         bank = self.module.banks[bank_id]
-        timing = self.module.timing
         assert request.location is not None
         row = request.location.row
         column = request.location.column
-        if request.is_write:
+        is_write = request.kind.is_write
+        if is_write:
             burst_end = bank.issue_write(row, now)
-            self._record_command(
-                Command(CommandKind.WRITE, bank=bank_id, row=row,
-                        column=column, pattern=request.pattern)
-            )
+            self._record_command(_WRITE, bank_id, row, column, request.pattern)
         else:
             burst_end = bank.issue_read(row, now)
-            self._record_command(
-                Command(CommandKind.READ, bank=bank_id, row=row,
-                        column=column, pattern=request.pattern)
-            )
+            self._record_command(_READ, bank_id, row, column, request.pattern)
         self._occupy_cmd_bus(now)
         self._bus_free = burst_end
         self.stats.add("row_hits" if request.row_hit else "row_misses")
@@ -217,11 +228,11 @@ class MemoryController:
 
         finish = burst_end + self._data_path_latency(request)
         request.finish_time = finish
-        request.phase = Phase.DONE
+        request.phase = _DONE
         if self.tracer is not None:
             self.tracer.complete(
                 "controller",
-                "write" if request.is_write else "read",
+                "write" if is_write else "read",
                 request.arrival_time,
                 finish - request.arrival_time,
                 tid=bank_id,
@@ -263,7 +274,7 @@ class MemoryController:
         if self.engine.now < bank.next_precharge:
             return  # superseded; a later close will fire if still idle
         bank.issue_precharge(self.engine.now)
-        self._record_command(Command(CommandKind.PRECHARGE, bank=bank_id))
+        self._record_command(_PRECHARGE, bank_id)
 
     def _data_path_latency(self, request: MemoryRequest) -> int:
         """Extra controller-side latency: the GS shuffle network."""
@@ -322,21 +333,35 @@ class MemoryController:
     def _occupy_cmd_bus(self, now: int) -> None:
         self._cmd_free = now + self.module.cpu_per_bus
 
-    def _record_command(self, command: Command) -> None:
-        self.stats.add(_CMD_STAT[command.kind])
+    def _record_command(
+        self, kind: CommandKind, bank: int, row: int = 0, column: int = 0,
+        pattern: int = 0,
+    ) -> None:
+        """Count one issued command as ``cmd_<kind>``.
+
+        The :class:`Command` record is built only when something reads
+        it: the command trace or an attached tracer. Its audit cannot
+        fail here, since ``submit`` already rejected the one field a
+        request can get wrong.
+        """
+        self.stats.add(_CMD_STAT[kind])
+        if not self.trace_commands and self.tracer is None:
+            return
+        command = Command(kind, bank=bank, row=row, column=column,
+                          pattern=pattern)
         if self.trace_commands:
             self.command_trace.append((self.engine.now, command))
         if self.tracer is not None:
             self.tracer.instant(
                 "dram-command",
-                command.kind.value,
+                kind.value,
                 self.engine.now,
-                tid=command.bank,
+                tid=bank,
                 args={
-                    "bank": command.bank,
-                    "row": command.row,
-                    "column": command.column,
-                    "pattern": command.pattern,
+                    "bank": bank,
+                    "row": row,
+                    "column": column,
+                    "pattern": pattern,
                 },
             )
 

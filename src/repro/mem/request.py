@@ -5,6 +5,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable
 
 from repro.dram.address import DecodedAddress
@@ -13,15 +14,18 @@ _request_ids = itertools.count()
 
 
 class RequestKind(enum.Enum):
-    """Demand/prefetch reads and writebacks."""
+    """Demand/prefetch reads and writebacks.
+
+    ``is_write`` is a plain member attribute, not a property: the
+    controller and scheduler read it several times per request.
+    """
 
     READ = "read"
     WRITE = "write"
     PREFETCH = "prefetch"
 
-    @property
-    def is_write(self) -> bool:
-        return self is RequestKind.WRITE
+    def __init__(self, value: str) -> None:
+        self.is_write = value == "write"
 
 
 class Phase(enum.Enum):
@@ -34,7 +38,7 @@ class Phase(enum.Enum):
     DONE = "done"
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class MemoryRequest:
     """One cache-line request to the DRAM module.
 
@@ -45,7 +49,9 @@ class MemoryRequest:
 
     Slotted: simulations allocate one of these per memory operation,
     and ``__slots__`` keeps them dict-free (ad-hoc metadata belongs in
-    ``annotations``).
+    ``annotations``). A request is an object with an identity, mutated
+    through its life, so equality is identity: removing one from a
+    bank queue must not compare every field of the requests ahead.
     """
 
     address: int
@@ -56,7 +62,7 @@ class MemoryRequest:
     core_id: int = 0
     callback: Callable[["MemoryRequest"], None] | None = None
     data: bytes | None = None  # payload for writes, filled for reads
-    request_id: int = field(default_factory=lambda: next(_request_ids))
+    request_id: int = field(default_factory=partial(next, _request_ids))
     # Filled in by the controller:
     location: DecodedAddress | None = None
     phase: Phase = Phase.QUEUED

@@ -13,6 +13,9 @@ from __future__ import annotations
 from repro.dram.bank import Bank
 from repro.mem.request import MemoryRequest, RequestKind
 
+# Bound once: reading a member off an enum class runs Python-level code.
+_PREFETCH = RequestKind.PREFETCH
+
 
 class Scheduler:
     """Chooses which queued request a newly-free bank serves next."""
@@ -74,9 +77,10 @@ class FRFCFS(Scheduler):
         for request in candidates:
             location = request.location
             assert location is not None
+            kind = request.kind
             key = (
-                request.kind.is_write,
-                request.kind is RequestKind.PREFETCH,
+                kind.is_write,
+                kind is _PREFETCH,
                 request.arrival_time,
                 request.request_id,
             )

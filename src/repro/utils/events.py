@@ -23,7 +23,10 @@ class Engine:
 
     def __init__(self) -> None:
         self._heap: list[tuple[int, int, Callable[..., None], tuple[Any, ...]]] = []
-        self._now = 0
+        #: Current simulation time in cycles. A plain attribute, not a
+        #: property: every access of every core reads it. Only the
+        #: engine advances it.
+        self.now = 0
         self._seq = 0
         self._running = False
         self.events_processed = 0
@@ -31,20 +34,15 @@ class Engine:
         #: ``None`` keeps the dispatch loop on its untraced fast path.
         self.tracer = None
 
-    @property
-    def now(self) -> int:
-        """Current simulation time in cycles."""
-        return self._now
-
     def schedule_at(self, time: int, callback: Callable[..., None], *args: Any) -> None:
         """Schedule ``callback(*args)`` to run at absolute ``time``.
 
         Events at equal times run in scheduling order (FIFO), which makes
         simulations deterministic.
         """
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule event at {time}, current time is {self._now}"
+                f"cannot schedule event at {time}, current time is {self.now}"
             )
         heapq.heappush(self._heap, (time, self._seq, callback, args))
         self._seq += 1
@@ -53,7 +51,7 @@ class Engine:
         """Schedule ``callback(*args)`` to run ``delay`` cycles from now."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        self.schedule_at(self._now + delay, callback, *args)
+        self.schedule_at(self.now + delay, callback, *args)
 
     def pending(self) -> int:
         """Number of events waiting in the queue."""
@@ -64,7 +62,7 @@ class Engine:
         if not self._heap:
             return False
         time, _seq, callback, args = heapq.heappop(self._heap)
-        self._now = time
+        self.now = time
         self.events_processed += 1
         if self.tracer is not None:
             self.tracer.engine_event(time, callback)
@@ -99,7 +97,7 @@ class Engine:
                             "likely a non-terminating workload"
                         )
                     time, _seq, callback, args = pop(heap)
-                    self._now = time
+                    self.now = time
                     tracer.engine_event(time, callback)
                     callback(*args)
                     count += 1
@@ -116,7 +114,7 @@ class Engine:
                             "likely a non-terminating workload"
                         )
                     time, _seq, callback, args = pop(heap)
-                    self._now = time
+                    self.now = time
                     callback(*args)
                     count += 1
         finally:
@@ -127,5 +125,5 @@ class Engine:
         """Run all events scheduled strictly before ``time``, then set now."""
         while self._heap and self._heap[0][0] < time:
             self.step()
-        if time > self._now:
-            self._now = time
+        if time > self.now:
+            self.now = time

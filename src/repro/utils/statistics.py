@@ -12,26 +12,33 @@ from dataclasses import dataclass, field
 
 
 class StatGroup:
-    """A named group of integer counters with safe ratio helpers."""
+    """A named group of integer counters with safe ratio helpers.
+
+    The counters live in a plain ``dict``: ``add`` runs on every
+    simulated access, and a ``Counter`` costs over twice as much per
+    increment. A key exists once it has been added to (even by 0);
+    reads never create one.
+    """
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._counters: Counter[str] = Counter()
+        self._counters: dict[str, int] = {}
 
     def add(self, key: str, amount: int = 1) -> None:
         """Increment counter ``key`` by ``amount``."""
-        self._counters[key] += amount
+        counters = self._counters
+        counters[key] = counters.get(key, 0) + amount
 
     def get(self, key: str) -> int:
         """Current value of counter ``key`` (0 if never incremented)."""
-        return self._counters[key]
+        return self._counters.get(key, 0)
 
     def ratio(self, numerator: str, denominator: str) -> float:
         """``numerator / denominator`` as a float; 0.0 when denominator is 0."""
-        denom = self._counters[denominator]
+        denom = self._counters.get(denominator, 0)
         if denom == 0:
             return 0.0
-        return self._counters[numerator] / denom
+        return self._counters.get(numerator, 0) / denom
 
     def as_dict(self) -> dict[str, int]:
         """Snapshot of all counters, sorted by name."""
@@ -39,7 +46,8 @@ class StatGroup:
 
     def merge(self, other: "StatGroup") -> None:
         """Fold another group's counters into this one."""
-        self._counters.update(other._counters)
+        for key, amount in other._counters.items():
+            self.add(key, amount)
 
     def reset(self) -> None:
         """Zero all counters."""
@@ -77,6 +85,26 @@ class Histogram:
         self._total += value
         if self._maximum is None or value > self._maximum:
             self._maximum = value
+
+    def merge(self, other: "Histogram") -> None:
+        """Fold ``other``'s observations into this histogram.
+
+        Exact: buckets, count and total add, and the larger maximum
+        wins, so the merged mean and maximum equal those of observing
+        every value into one histogram.
+        """
+        if other.bucket_width != self.bucket_width:
+            raise ValueError(
+                f"cannot merge a histogram of bucket width "
+                f"{other.bucket_width} into one of width {self.bucket_width}"
+            )
+        self._buckets.update(other._buckets)
+        self._count += other._count
+        self._total += other._total
+        if other._maximum is not None and (
+            self._maximum is None or other._maximum > self._maximum
+        ):
+            self._maximum = other._maximum
 
     @property
     def count(self) -> int:

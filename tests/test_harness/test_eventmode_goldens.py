@@ -1,0 +1,43 @@
+"""Exact golden regression tests for the event-mode figure runs.
+
+``benchmarks/results/eventmode_<figure>.json`` pins every event RunSpec
+of fig9, fig10, fig11 and pim at quick scale: the answer, the
+verification flag, ``result.to_dict()`` (cycles and engine events
+included) and the per-component counter dicts. The timed machine is
+deterministic, so the comparison is exact, text for text: a host-speed
+change to the cache hierarchy, controller or core must leave these
+files byte-identical. Regenerate with ``python tools/gen_goldens.py``
+only when an intentional model change lands.
+"""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+RESULTS = ROOT / "benchmarks" / "results"
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location(
+        "gen_goldens", ROOT / "tools" / "gen_goldens.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+gen_goldens = _tool()
+
+
+@pytest.mark.parametrize("figure", gen_goldens.EVENT_FIGURES)
+def test_event_mode_runs_match_golden(figure):
+    path = RESULTS / f"eventmode_{figure}.json"
+    fresh = gen_goldens.render(gen_goldens.event_records(figure))
+    golden = path.read_text()
+    assert fresh == golden, "\n".join(
+        f"{old!r} -> {new!r}"
+        for old, new in zip(golden.splitlines(), fresh.splitlines())
+        if old != new
+    )

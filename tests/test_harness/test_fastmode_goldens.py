@@ -6,7 +6,7 @@ each figure's fast spec set at quick scale) next to the event-mode
 goldens. Unlike the event-mode timing goldens, the fast path has no
 timing at all, so the comparison is exact: every functional count must
 match byte-for-byte.
-Regenerate with ``python tools/gen_fastmode_goldens.py`` when an
+Regenerate with ``python tools/gen_goldens.py`` when an
 intentional accounting change lands — and expect the equivalence
 battery (``repro check``) to demand the event machine move with it.
 """

@@ -153,6 +153,27 @@ class TestSystemIntegration:
         assert run(2) < 0.65 * run(1)
 
 
+class TestQueueDelay:
+    def test_merged_histogram_keeps_exact_values(self):
+        # Row-striding loads spread over both channels and queue behind
+        # each other; the merged histogram must report the channels'
+        # exact mean and maximum, not their 50-cycle bucket floors.
+        system = System(table1_config(channels=2))
+        result = system.run([[Load(i * 64 * 129) for i in range(40)]])
+        channels = [c.queue_delay for c in system.controller.controllers]
+        count = sum(h.count for h in channels)
+        total = sum(h.mean * h.count for h in channels)
+        merged = system.controller.queue_delay
+        assert count == 40
+        assert merged.count == count
+        assert merged.mean == pytest.approx(total / count)
+        assert result.extra["mean_memory_queue_delay"] == pytest.approx(
+            total / count
+        )
+        assert merged.maximum == max(h.maximum for h in channels)
+        assert merged.maximum % 50 != 0
+
+
 class TestImpulseChannels:
     def test_impulse_system_with_two_channels(self):
         import struct

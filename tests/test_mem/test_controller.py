@@ -3,11 +3,14 @@
 import pytest
 
 from repro.core.module import GSModule
+from repro.cpu.isa import Load
 from repro.dram.address import Geometry, MappingPolicy
 from repro.dram.module import DRAMModule
-from repro.errors import SimulationError
+from repro.errors import ProtocolError, SimulationError
 from repro.mem.controller import MemoryController
 from repro.mem.request import MemoryRequest, RequestKind
+from repro.sim.config import table1_config
+from repro.sim.system import System
 from repro.utils.events import Engine
 
 GEOMETRY = Geometry(banks=8, rows_per_bank=64, columns_per_row=128)
@@ -145,6 +148,19 @@ class TestPatterns:
         controller.submit(MemoryRequest(0, RequestKind.READ, pattern=7))
         with pytest.raises(SimulationError):
             engine.run()
+
+    def test_negative_pattern_rejected_without_command_trace(self):
+        # The protocol audit must not depend on a Command being built:
+        # no command trace and no tracer are attached here.
+        engine, module, controller = make(trace_commands=False)
+        assert controller.tracer is None
+        with pytest.raises(ProtocolError):
+            controller.submit(MemoryRequest(0, RequestKind.READ, pattern=-1))
+            engine.run()
+
+    def test_negative_pattern_rejected_through_system(self):
+        with pytest.raises(ProtocolError):
+            System(table1_config()).run([[Load(0, pattern=-1)]])
 
 
 class TestNoDataAnnotation:

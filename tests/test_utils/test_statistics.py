@@ -45,6 +45,30 @@ class TestStatGroup:
         stats.reset()
         assert stats.get("x") == 0
 
+    def test_adding_zero_creates_the_key(self):
+        stats = StatGroup("t")
+        stats.add("quiet", 0)
+        assert stats.as_dict() == {"quiet": 0}
+
+    def test_reads_do_not_create_keys(self):
+        stats = StatGroup("t")
+        assert stats.get("missing") == 0
+        assert stats.ratio("missing", "also_missing") == 0.0
+        stats.add("present", 2)
+        assert stats.ratio("missing", "present") == 0.0
+        assert stats.as_dict() == {"present": 2}
+
+    def test_merge_keeps_zero_valued_keys(self):
+        a, b = StatGroup("a"), StatGroup("b")
+        a.add("shared", 2)
+        a.add("only_a", 0)
+        b.add("shared", 3)
+        b.add("only_b", 0)
+        b.add("extra", 4)
+        a.merge(b)
+        assert a.as_dict() == {"extra": 4, "only_a": 0, "only_b": 0,
+                               "shared": 5}
+
 
 class TestHistogram:
     def test_mean_and_max(self):
@@ -96,6 +120,34 @@ class TestHistogram:
         assert summary["mean"] == pytest.approx(5.0)
         assert summary["maximum"] == 12
         assert summary["buckets"] == {"0": 2, "10": 1}
+
+
+    def test_merge(self):
+        left, right = Histogram(bucket_width=10), Histogram(bucket_width=10)
+        for value in (3, 17, 41):
+            left.observe(value)
+        for value in (12, 58):
+            right.observe(value)
+        both = Histogram(bucket_width=10)
+        for value in (3, 17, 41, 12, 58):
+            both.observe(value)
+        left.merge(right)
+        assert left.summary() == both.summary()
+        assert left.maximum == 58
+        assert left.mean == pytest.approx(131 / 5)
+
+    def test_merge_keeps_larger_maximum_and_empty_sides(self):
+        hist = Histogram(bucket_width=10)
+        hist.observe(-4)
+        hist.merge(Histogram(bucket_width=10))
+        assert hist.maximum == -4
+        empty = Histogram(bucket_width=10)
+        empty.merge(hist)
+        assert empty.summary() == hist.summary()
+
+    def test_merge_rejects_other_bucket_width(self):
+        with pytest.raises(ValueError, match="bucket width"):
+            Histogram(bucket_width=10).merge(Histogram(bucket_width=50))
 
 
 class TestGeometricMean:

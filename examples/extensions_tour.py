@@ -17,6 +17,7 @@ from repro.core import (
     XorFoldShuffle,
 )
 from repro.dram.address import Geometry
+from repro.errors import PatternError
 
 GEOMETRY = Geometry(chips=8, banks=2, rows_per_bank=8, columns_per_row=16)
 
@@ -69,12 +70,15 @@ def ecc_demo() -> None:
     for line in range(8):
         ecc.write_line(line * 64, pack(range(line * 8, line * 8 + 8)))
     gathered = unpack(ecc.read_line_checked(0, pattern=7))
+    assert gathered == list(range(0, 64, 8)), gathered
     print("ECC-validated stride-8 gather:", gathered)
     ecc.corrupt_value(3 * 64, value_index=0)
     try:
         ecc.read_line_checked(0, pattern=7)
-    except Exception as exc:
+    except PatternError as exc:
         print("after fault injection:", exc)
+    else:
+        raise AssertionError("the injected fault went undetected")
 
 
 def main() -> None:

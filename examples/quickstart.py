@@ -32,7 +32,9 @@ def main() -> None:
 
     # Pattern 7 = stride 8: field f of ALL eight tuples in ONE command.
     pattern = pattern_for_stride(8)
-    print("field 0 of all tuples     ", gs.read_values(0 * 64, pattern=pattern))
+    field0 = gs.read_values(0 * 64, pattern=pattern)
+    assert field0 == [10 * t for t in range(tuples)], field0
+    print("field 0 of all tuples     ", field0)
     print("field 5 of all tuples     ", gs.read_values(5 * 64, pattern=pattern))
 
     # Patterns 1 and 3 gather strides 2 and 4.
@@ -44,6 +46,7 @@ def main() -> None:
     print("\nafter scattering new field-0 values:")
     print("tuple 0:", gs.read_values(0))
     print("tuple 7:", gs.read_values(7 * 64))
+    assert gs.read_values(0, pattern=pattern) == [1000 + t for t in range(8)]
 
     # What would this cost without the shuffle? (Section 3.2's Challenge 1)
     print(f"\nREADs to gather 8 stride-8 values: "

@@ -78,29 +78,38 @@ class Cache:
         pattern: int,
         data: bytearray,
         dirty: bool = False,
-    ) -> CacheLine | None:
-        """Insert a line; returns the evicted victim (None if no eviction).
+        shuffled: bool | None = None,
+    ) -> tuple[CacheLine, CacheLine | None]:
+        """Insert a line; returns ``(line, victim)``.
 
-        If the line is already resident its data is replaced in place
-        (used when a newer copy arrives from an inner level).
+        ``line`` is the resident line and ``victim`` the evicted one
+        (None if no eviction). If the line is already resident its data
+        is replaced in place (used when a newer copy arrives from an
+        inner level). ``shuffled`` becomes the line's
+        ``annotation_shuffled``; a resident line keeps its own when
+        ``shuffled`` is None.
         """
         lines = self._sets[self.set_index(line_address)]
         key = (line_address, pattern)
-        existing = lines.pop(key, None)
-        if existing is not None:
-            existing.data = data
-            existing.dirty = existing.dirty or dirty
-            lines[key] = existing
-            return None
+        line = lines.pop(key, None)
+        if line is not None:
+            line.data = data
+            line.dirty = line.dirty or dirty
+            if shuffled is not None:
+                line.annotation_shuffled = shuffled
+            lines[key] = line
+            return line, None
         victim = None
         if len(lines) >= self.associativity:
             victim = lines.pop(next(iter(lines)))
             self.stats.add("evictions")
             if victim.dirty:
                 self.stats.add("dirty_evictions")
-        lines[key] = CacheLine(line_address, pattern, data, dirty)
+        line = CacheLine(line_address, pattern, data, dirty)
+        line.annotation_shuffled = shuffled
+        lines[key] = line
         self.stats.add("fills")
-        return victim
+        return line, victim
 
     def invalidate(self, line_address: int, pattern: int) -> CacheLine | None:
         """Remove (address, pattern) if resident; returns the removed line.

@@ -379,33 +379,28 @@ class CacheHierarchy:
         self, core_id: int, line_address: int, pattern: int, data: bytearray,
         start_time: int,
     ):
-        l1 = self.l1s[core_id]
-        victim = l1.fill(line_address, pattern, data)
+        line, victim = self.l1s[core_id].fill(line_address, pattern, data)
         if victim is not None and victim.dirty:
             self._demote_dirty(victim, start_time)
-        return l1.lookup(line_address, pattern, touch=False)
+        return line
 
     def _demote_dirty(self, victim, start_time: int) -> None:
-        """A dirty L1 victim falls into L2 (staying dirty)."""
-        l2_victim = self.l2.fill(
-            victim.line_address, victim.pattern, victim.data, dirty=True
+        """A dirty L1 victim falls into L2 (staying dirty).
+
+        The L2 copy keeps the shuffle flag for the eventual writeback.
+        """
+        _, l2_victim = self.l2.fill(
+            victim.line_address, victim.pattern, victim.data, dirty=True,
+            shuffled=self._line_shuffled(victim),
         )
-        # Preserve the shuffle flag for the eventual writeback.
-        line = self.l2.lookup(victim.line_address, victim.pattern, touch=False)
-        if line is not None:
-            line.annotation_shuffled = self._line_shuffled(victim)
         if l2_victim is not None and l2_victim.dirty:
             self._writeback(l2_victim, start_time)
 
     def _fill_l2(self, line_address: int, pattern: int, data: bytearray,
-                 shuffled: bool, start_time: int):
-        victim = self.l2.fill(line_address, pattern, data)
-        line = self.l2.lookup(line_address, pattern, touch=False)
-        if line is not None:
-            line.annotation_shuffled = shuffled
+                 shuffled: bool, start_time: int) -> None:
+        _, victim = self.l2.fill(line_address, pattern, data, shuffled=shuffled)
         if victim is not None and victim.dirty:
             self._writeback(victim, start_time)
-        return line
 
     # ------------------------------------------------------------------
     # Miss path

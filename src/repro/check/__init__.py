@@ -40,7 +40,6 @@ from repro.check.fastpath import (
     run_sweep_equivalence,
     run_trace_equivalence,
 )
-from repro.check.inference import InferenceReport, run_inference_check
 from repro.check.invariants import (
     InvariantReport,
     Violation,
@@ -58,7 +57,6 @@ __all__ = [
     "FUNCTIONAL_FIELDS",
     "FastPathDivergence",
     "FastPathReport",
-    "InferenceReport",
     "InvariantReport",
     "MemoryOracle",
     "Mismatch",
@@ -77,7 +75,6 @@ __all__ = [
     "run_differential",
     "run_fastpath",
     "run_grid_equivalence",
-    "run_inference_check",
     "run_sweep_equivalence",
     "run_trace",
     "run_trace_equivalence",

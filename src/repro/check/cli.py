@@ -18,10 +18,9 @@ from repro.check.differential import run_differential
 from repro.check.fastpath import run_fastpath
 from repro.check.invariants import run_all_invariants
 
-#: Stage names accepted as positional selectors (``repro check
-#: inference`` runs just that battery).
-STAGES = ("invariants", "differential", "fastpath", "oracles", "inference",
-          "pim")
+#: Stage names accepted as positional selectors (``repro check pim``
+#: runs just that battery).
+STAGES = ("invariants", "differential", "fastpath", "oracles", "pim")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,10 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--skip-oracles", action="store_true",
         help="skip the scalar-vs-vectorized oracle differential",
-    )
-    parser.add_argument(
-        "--skip-inference", action="store_true",
-        help="skip the inference-family differential battery",
     )
     parser.add_argument(
         "--skip-pim", action="store_true",
@@ -120,14 +115,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.check.oracles import run_oracles
 
         report = run_oracles(seed=args.seed)
-        print(report.render())
-        if not report.ok:
-            failures += len(report.divergences)
-
-    if wants("inference"):
-        from repro.check.inference import run_inference_check
-
-        report = run_inference_check()
         print(report.render())
         if not report.ok:
             failures += len(report.divergences)

@@ -47,10 +47,6 @@ def _pack(values: list[int]) -> bytes:
     return struct.pack(f"<{len(values)}Q", *values)
 
 
-def _unpack(data: bytes) -> list[int]:
-    return list(struct.unpack(f"<{len(data) // 8}Q", data))
-
-
 def verify_substrate(gs, columns: int | None = None,
                      patterns: list[int] | None = None) -> CheckReport:
     """Run the exhaustive checks against a GSDRAM facade.

@@ -313,6 +313,7 @@ def run_htap(
     )
     with timer.stage("run"):
         result = system.run([analytics, txn_stream], stop_on_core=0)
+    stats = component_snapshot(system)
 
     analytics_cycles = system.cores[0].finish_time or result.cycles
     if analytics_cycles <= 0:
@@ -328,6 +329,7 @@ def run_htap(
         throughput,
         result,
         answer=total[0],
+        component_stats=stats,
     )
 
 

@@ -55,10 +55,6 @@ class Transaction:
     tuple_id: int
     ops: tuple[FieldOp, ...]
 
-    @property
-    def fields_touched(self) -> int:
-        return len(self.ops)
-
 
 @dataclass(frozen=True)
 class TransactionMix:

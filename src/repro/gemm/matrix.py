@@ -17,8 +17,6 @@ and checked against a numpy oracle.
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 
 from repro.errors import WorkloadError
@@ -127,9 +125,3 @@ def random_matrix(n: int, seed: int, low: int = 0, high: int = 16) -> np.ndarray
     """Small-magnitude random int64 matrix (products stay exact)."""
     rng = np.random.default_rng(seed)
     return rng.integers(low, high, size=(n, n), dtype=np.int64)
-
-
-def unpack_values(data: bytes) -> list[int]:
-    """Decode a byte string as little-endian signed 64-bit values."""
-    count = len(data) // ELEM
-    return list(struct.unpack(f"<{count}q", data))

@@ -22,7 +22,6 @@ from repro.harness.fig11_htap import run_figure11
 from repro.harness.fig12_summary import run_figure12
 from repro.harness.fig13_gemm import run_figure13
 from repro.harness.fw_autopattern import run_autopattern_experiment
-from repro.harness.inference import run_inference
 from repro.harness.pim import run_pim_ablation
 from repro.harness.patternscan import (
     PatternScanRun,
@@ -57,7 +56,6 @@ __all__ = [
     "run_figure13",
     "run_autopattern_experiment",
     "run_graph_experiment",
-    "run_inference",
     "run_kvstore_experiment",
     "run_channel_ablation",
     "run_impulse_ablation",

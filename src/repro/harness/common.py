@@ -43,14 +43,6 @@ class Scale:
     htap_l2_size: int
     #: Matrix sizes for Figure 13 (paper: 32..1024).
     gemm_sizes: tuple[int, ...]
-    #: Inference family (repro.infer) shapes, all defaulted so older
-    #: keyword-constructed scales (tests, CHECK_SCALE) stay valid.
-    #: Batched GEMV: (output rows, input dim, batch).
-    infer_gemv: tuple[int, int, int] = (16, 16, 2)
-    #: Embedding-bag: (vocab rows, bags, bag size).
-    infer_embed: tuple[int, int, int] = (64, 6, 4)
-    #: KV-cache attention: decode steps (context grows 1..steps).
-    infer_kv_steps: int = 6
 
 
 QUICK = Scale(
@@ -69,9 +61,6 @@ DEFAULT = Scale(
     htap_tuples=16384,
     htap_l2_size=128 * 1024,
     gemm_sizes=(16, 32, 64),
-    infer_gemv=(32, 32, 2),
-    infer_embed=(128, 8, 6),
-    infer_kv_steps=10,
 )
 
 FULL = Scale(
@@ -81,9 +70,6 @@ FULL = Scale(
     htap_tuples=32768,
     htap_l2_size=256 * 1024,
     gemm_sizes=(16, 32, 64, 96),
-    infer_gemv=(64, 64, 4),
-    infer_embed=(256, 12, 8),
-    infer_kv_steps=16,
 )
 
 #: The paper's own evaluation sizes (Section 5). DB: 1M tuples x 64 B
@@ -100,9 +86,6 @@ PAPER = Scale(
     htap_tuples=1_048_576,
     htap_l2_size=2 * 1024 * 1024,
     gemm_sizes=(128, 256, 512, 1024),
-    infer_gemv=(128, 128, 8),
-    infer_embed=(1024, 32, 16),
-    infer_kv_steps=32,
 )
 
 _PRESETS = {scale.name: scale for scale in (QUICK, DEFAULT, FULL, PAPER)}

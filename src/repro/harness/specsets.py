@@ -15,28 +15,18 @@ from repro.harness.common import Scale
 from repro.perf.specs import RunSpec
 
 #: Figures with spec-based drivers (fig7 is a closed-form rendering and
-#: has nothing to trace). "infer" is the ML-inference family
-#: (repro.infer): not a paper figure, but the same figure-shaped
-#: baseline-vs-GS comparison over GEMV / embedding / KV-cache gathers.
-#: "pim" is the in-DRAM compute ablation (repro.pim): GS-DRAM gather +
-#: CPU fold vs MRA+SHIFT programs executing inside the chips
-#: (docs/INDRAM.md).
-SPEC_FIGURES = ("fig9", "fig10", "fig11", "fig13", "infer", "pim")
+#: has nothing to trace). "pim" is the in-DRAM compute ablation
+#: (repro.pim): GS-DRAM gather + CPU fold vs MRA+SHIFT programs
+#: executing inside the chips (docs/INDRAM.md).
+SPEC_FIGURES = ("fig9", "fig10", "fig11", "fig13", "pim")
 
 #: The figures with a vectorized fast path (``mode="fast"``), where it
 #: runs 2.5-19x faster than the event machine. This tuple is the one
 #: place that list lives: the CLI, the bench suite, the fast-mode
-#: goldens and their tests all read it. infer and pim have no fast
-#: path (theirs measured 1.0-1.3x; see docs/PERFORMANCE.md), and
-#: ``RunSpec`` rejects ``mode="fast"`` for those kinds.
+#: goldens and their tests all read it. pim has no fast path (its
+#: removed fast twin measured at most 1.3x; see docs/PERFORMANCE.md),
+#: and ``RunSpec`` rejects ``mode="fast"`` for that kind.
 FAST_FIGURES = ("fig9", "fig10", "fig11", "fig13")
-
-#: Cache sizing for the inference family: the paper's interesting
-#: regime has the gathered working set exceed the caches (its 64 MB
-#: table vs 2 MB L2); at repro scale we shrink the caches instead so
-#: the baseline's lane-walk thrashes while gathered lines stay
-#: resident — the same trick the HTAP figure plays with htap_l2_size.
-INFER_CACHE = {"l1_size": 1024, "l2_size": 8192}
 
 
 def figure_specs(figure: str, scale: Scale,
@@ -44,14 +34,14 @@ def figure_specs(figure: str, scale: Scale,
     """The representative runs for ``figure`` at ``scale``.
 
     ``mode="fast"`` yields the vectorized twins of the same runs; only
-    :data:`FAST_FIGURES` have them (for ``infer`` and ``pim`` the spec
-    itself raises :class:`ConfigError`). Two figures need workload
-    tweaks to stay within the fast path's deterministic envelope:
-    fig10 drops the hardware prefetcher (the fast substrate has no
-    timing for it to react to), and fig11 runs the phased fixed-count
-    HTAP variant instead of the open-ended two-core race. Those
-    parameter differences are visible in the spec (and therefore in
-    the cache key), never silent.
+    :data:`FAST_FIGURES` have them (for ``pim`` the spec itself raises
+    :class:`ConfigError`). Two figures need workload tweaks to stay
+    within the fast path's deterministic envelope: fig10 drops the
+    hardware prefetcher (the fast substrate has no timing for it to
+    react to), and fig11 runs the phased fixed-count HTAP variant
+    instead of the open-ended two-core race. Those parameter
+    differences are visible in the spec (and therefore in the cache
+    key), never silent.
     """
     from repro.db.workload import FIGURE9_MIXES
 
@@ -118,25 +108,6 @@ def figure_specs(figure: str, scale: Scale,
                 ("tiled", {"tile": 8}),
                 ("gs", {"tile": 8}),
             )
-        ]
-    if figure == "infer":
-        m, n, batch = scale.infer_gemv
-        vocab, bags, bag_size = scale.infer_embed
-        shapes = {
-            "gemv": {"m": m, "n": n, "batch": batch},
-            "embed": {"vocab": vocab, "bags": bags, "bag_size": bag_size},
-            "kvcache": {"steps": scale.infer_kv_steps},
-        }
-        return [
-            RunSpec(
-                kind="infer",
-                params={"workload": workload, "variant": variant, **shape},
-                config_overrides=dict(INFER_CACHE),
-                seed=11,
-                mode=mode,
-            )
-            for workload, shape in shapes.items()
-            for variant in ("baseline", "gs")
         ]
     if figure == "pim":
         # seed=1 reuses the memoized fig9/fig10 rows master, so the

@@ -55,7 +55,8 @@ class ImpulseController(MemoryController):
 
     # ------------------------------------------------------------------
     def submit(self, request: MemoryRequest) -> None:
-        if request.pattern == 0:
+        # A negative pattern takes this path too, for the base check to reject.
+        if request.pattern <= 0:
             super().submit(request)
             return
         if request.is_write:

@@ -77,10 +77,6 @@ class MemoryRequest:
         return self.kind.is_write
 
     @property
-    def is_demand(self) -> bool:
-        return self.kind is not RequestKind.PREFETCH
-
-    @property
     def queue_delay(self) -> int:
         """Cycles from arrival to first data beat."""
         return self.finish_time - self.arrival_time

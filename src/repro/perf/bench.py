@@ -147,7 +147,6 @@ def bench_cases(scale) -> list[BenchCase]:
         "fig10": "fig10-analytics",
         "fig11": "fig11-htap",
         "fig13": "fig13-gemm",
-        "infer": "infer-gather",
         "pim": "pim-ablation",
     }
     fast_only = scale.name == "paper"

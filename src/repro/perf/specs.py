@@ -26,11 +26,10 @@ class RunSpec:
     """One independent simulation run, by value.
 
     ``kind`` selects the driver (``transactions`` / ``analytics`` /
-    ``htap`` / ``gemm`` / ``patternscan`` / ``infer`` / ``pim``),
-    ``layout`` names a storage
-    layout from
-    :func:`make_layout`, ``params`` are the driver's keyword arguments,
-    and ``seed`` pins the workload generator.
+    ``htap`` / ``gemm`` / ``patternscan`` / ``pim``), ``layout`` names
+    a storage layout from :func:`make_layout`, ``params`` are the
+    driver's keyword arguments, and ``seed`` pins the workload
+    generator.
 
     ``obs`` selects observability (see :mod:`repro.obs`): ``"off"``
     (default), ``"metrics"`` (registry snapshot, near-zero cost),
@@ -45,8 +44,7 @@ class RunSpec:
     :mod:`repro.vec` — identical functional counts, zero cycles; see
     docs/PERFORMANCE.md). Like ``obs`` it is part of the cache key, so
     fast and event results never collide in the result cache. The
-    ``infer`` and ``pim`` kinds have no fast path and run only in event
-    mode.
+    ``pim`` kind has no fast path and runs only in event mode.
     """
 
     kind: str
@@ -67,7 +65,7 @@ class RunSpec:
             raise ConfigError(
                 f"unknown run mode {self.mode!r}; expected 'event' or 'fast'"
             )
-        if self.mode == "fast" and self.kind in ("infer", "pim"):
+        if self.mode == "fast" and self.kind == "pim":
             raise ConfigError(
                 f"kind {self.kind!r} has no fast path; use mode='event'"
             )
@@ -203,20 +201,6 @@ def _execute_driver(spec: RunSpec) -> Any:
             make_layout(spec.layout),
             config_overrides=dict(spec.config_overrides),
             mode=spec.mode,
-            **params,
-        )
-    if spec.kind == "infer":
-        from repro.infer.runner import run_infer
-
-        workload = params.pop("workload")
-        variant = params.pop("variant")
-        overrides = dict(spec.config_overrides) or None
-        if spec.seed is not None:
-            params.setdefault("seed", spec.seed)
-        return run_infer(
-            workload,
-            variant,
-            config_overrides=overrides,
             **params,
         )
     if spec.kind == "pim":

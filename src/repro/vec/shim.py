@@ -12,9 +12,10 @@ drivers capture. This module holds the two shared pieces:
   from plain ``{stat: count}`` dicts.
 - :func:`component_snapshot` — the event-side mirror: capture the five
   per-component stat dicts (controller, l1, l2, hierarchy, dbi) from a
-  real single-core system, in the exact shape
+  real system, in the exact shape
   :meth:`repro.vec.hier.DirtyReplay.component_stats` produces, so
-  :mod:`repro.check.fastpath` can diff them key by key.
+  :mod:`repro.check.fastpath` can diff them key by key. A multi-core
+  system adds one ``l1_core<i>`` dict per further core.
 
 Capture ordering matters: ``component_snapshot`` must run after
 ``system.run()`` but *before* any verification that reads memory back
@@ -82,20 +83,23 @@ def machine_shim(
 
 
 def component_snapshot(system) -> dict | None:
-    """Per-component stat dicts of a single-core, single-channel system.
+    """Per-component stat dicts of a single-channel system.
 
-    Returns ``None`` for machines the equivalence battery does not
-    cover (multiple cores or channels), so callers can store the
-    snapshot unconditionally.
+    Core 0's L1 is ``l1``; each further core's L1 is ``l1_core<i>``.
+    Returns ``None`` for multi-channel machines (no single controller
+    stat group), so callers can store the snapshot unconditionally.
     """
     hierarchy = system.hierarchy
     controller = system.controller
-    if len(hierarchy.l1s) != 1 or not hasattr(controller, "stats"):
+    if not hasattr(controller, "stats"):
         return None
-    return {
+    snapshot = {
         "controller": dict(controller.stats.as_dict()),
         "l1": dict(hierarchy.l1s[0].stats.as_dict()),
         "l2": dict(hierarchy.l2.stats.as_dict()),
         "hierarchy": dict(hierarchy.stats.as_dict()),
         "dbi": dict(hierarchy.dbi.stats.as_dict()),
     }
+    for core, l1 in enumerate(hierarchy.l1s[1:], start=1):
+        snapshot[f"l1_core{core}"] = dict(l1.stats.as_dict())
+    return snapshot

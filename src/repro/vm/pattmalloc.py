@@ -15,7 +15,6 @@ that keep pattern groups intact:
 from __future__ import annotations
 
 from repro.errors import AllocationError, PatternError
-from repro.utils.bitops import mask
 from repro.vm.page_table import PageInfo, PageTable
 
 
@@ -87,8 +86,3 @@ class PattAllocator:
 
     def remaining_bytes(self) -> int:
         return self.capacity_bytes - self._next
-
-
-def pattern_mask_fits(pattern: int, pattern_bits: int) -> bool:
-    """Convenience check used by allocation call sites."""
-    return 0 <= pattern <= mask(pattern_bits)

@@ -45,7 +45,7 @@ class TestLookupFill:
     def test_refill_replaces_data_in_place(self):
         cache = make_cache()
         cache.fill(0, 0, bytearray(b"\x01" * 64))
-        evicted = cache.fill(0, 0, bytearray(b"\x02" * 64))
+        _, evicted = cache.fill(0, 0, bytearray(b"\x02" * 64))
         assert evicted is None
         assert cache.lookup(0, 0).data[0] == 2
 
@@ -62,7 +62,7 @@ class TestLRU:
         cache.fill(0, 0, bytearray(64))
         cache.fill(64, 0, bytearray(64))
         cache.lookup(0, 0)  # touch the older line
-        victim = cache.fill(128, 0, bytearray(64))
+        _, victim = cache.fill(128, 0, bytearray(64))
         assert victim.line_address == 64
 
     def test_lookup_without_touch_does_not_refresh(self):
@@ -70,7 +70,7 @@ class TestLRU:
         cache.fill(0, 0, bytearray(64))
         cache.fill(64, 0, bytearray(64))
         cache.lookup(0, 0, touch=False)
-        victim = cache.fill(128, 0, bytearray(64))
+        _, victim = cache.fill(128, 0, bytearray(64))
         assert victim.line_address == 0
 
 

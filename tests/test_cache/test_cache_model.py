@@ -85,7 +85,7 @@ def test_cache_matches_reference(ops):
             assert real == reference.lookup(address, pattern)
         elif op in ("fill", "fill_dirty"):
             dirty = op == "fill_dirty"
-            victim = cache.fill(address, pattern, bytearray(LINE), dirty=dirty)
+            _, victim = cache.fill(address, pattern, bytearray(LINE), dirty=dirty)
             expected_victim = reference.fill(address, pattern, dirty)
             real_victim = victim.key if victim is not None else None
             assert real_victim == expected_victim

@@ -36,7 +36,11 @@ class TestCLI:
                                       ["submit", "--figure", "fig9"],
                                       ["jobs"],
                                       ["check", "service"],
-                                      ["check", "--skip-service"]])
+                                      ["check", "--skip-service"],
+                                      ["check", "inference"],
+                                      ["check", "--skip-inference"],
+                                      ["trace", "infer"],
+                                      ["metrics", "infer"]])
     def test_cluster_surface_is_gone(self, argv):
         with pytest.raises(SystemExit) as exit_info:
             main(argv)

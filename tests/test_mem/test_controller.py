@@ -9,7 +9,7 @@ from repro.dram.module import DRAMModule
 from repro.errors import ProtocolError, SimulationError
 from repro.mem.controller import MemoryController
 from repro.mem.request import MemoryRequest, RequestKind
-from repro.sim.config import table1_config
+from repro.sim.config import impulse_config, table1_config
 from repro.sim.system import System
 from repro.utils.events import Engine
 
@@ -158,9 +158,10 @@ class TestPatterns:
             controller.submit(MemoryRequest(0, RequestKind.READ, pattern=-1))
             engine.run()
 
-    def test_negative_pattern_rejected_through_system(self):
+    @pytest.mark.parametrize("config", [table1_config, impulse_config])
+    def test_negative_pattern_rejected_through_system(self, config):
         with pytest.raises(ProtocolError):
-            System(table1_config()).run([[Load(0, pattern=-1)]])
+            System(config()).run([[Load(0, pattern=-1)]])
 
 
 class TestNoDataAnnotation:

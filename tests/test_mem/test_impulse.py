@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.module import GSModule
 from repro.dram.address import Geometry
-from repro.errors import SimulationError
+from repro.errors import ProtocolError, SimulationError
 from repro.mem.impulse import ImpulseController, ImpulseModule
 from repro.mem.request import MemoryRequest, RequestKind
 from repro.utils.events import Engine
@@ -159,3 +159,13 @@ class TestRejection:
         engine = Engine()
         with pytest.raises(SimulationError):
             ImpulseController(engine, GSModule(geometry=GEOMETRY))
+
+    @pytest.mark.parametrize("kind, data", [
+        (RequestKind.READ, None),
+        (RequestKind.WRITE, pack(range(8))),
+    ], ids=["read", "write"])
+    def test_negative_pattern_rejected(self, kind, data):
+        engine, module, controller = make()
+        with pytest.raises(ProtocolError):
+            controller.submit(MemoryRequest(0, kind, pattern=-1, data=data))
+        assert controller.stats.get("requests") == 0

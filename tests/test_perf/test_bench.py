@@ -103,7 +103,7 @@ class TestBenchCases:
         names = {case.name for case in bench_cases(scale_by_name("quick"))}
         assert names == {"fig7-patterns", "fig9-transactions",
                          "fig10-analytics", "fig11-htap", "fig13-gemm",
-                         "infer-gather", "pim-ablation", "fig7-sweep-event",
+                         "pim-ablation", "fig7-sweep-event",
                          "fig7-sweep-fast", "fig9-transactions-fast",
                          "fig10-analytics-fast", "fig11-htap-fast",
                          "fig13-gemm-fast",

@@ -72,12 +72,11 @@ class TestCacheKey:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError):
             RunSpec(kind="analytics", mode="approximate")
-        # infer and pim have no fast path; the spec says so up front
-        # instead of failing later inside the driver.
-        for kind in ("infer", "pim"):
-            with pytest.raises(ConfigError, match="mode='event'"):
-                RunSpec(kind=kind, mode="fast")
-            assert RunSpec(kind=kind).mode == "event"
+        # pim has no fast path; the spec says so up front instead of
+        # failing later inside the driver.
+        with pytest.raises(ConfigError, match="mode='event'"):
+            RunSpec(kind="pim", mode="fast")
+        assert RunSpec(kind="pim").mode == "event"
 
 
 class TestMakeLayout:

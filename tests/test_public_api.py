@@ -43,14 +43,13 @@ class TestTopLevelExports:
         import repro.kvstore
         import repro.mem
         import repro.sim
-        import repro.trace
         import repro.utils
         import repro.vm
 
         for module in (repro.cache, repro.core, repro.db, repro.dram,
                        repro.energy, repro.gemm, repro.graph, repro.harness,
-                       repro.kvstore, repro.mem, repro.sim, repro.trace,
-                       repro.utils, repro.vm):
+                       repro.kvstore, repro.mem, repro.sim, repro.utils,
+                       repro.vm):
             for name in module.__all__:
                 assert hasattr(module, name), f"{module.__name__}.{name}"
 

@@ -18,7 +18,6 @@ IDs, or unusual chip counts:
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 
@@ -41,10 +40,6 @@ class CheckReport:
         lines = [f"self-check: {self.checks_run} checks, {status}"]
         lines.extend(f"  FAIL: {message}" for message in self.failures[:20])
         return "\n".join(lines)
-
-
-def _pack(values: list[int]) -> bytes:
-    return struct.pack(f"<{len(values)}Q", *values)
 
 
 def verify_substrate(gs, columns: int | None = None,

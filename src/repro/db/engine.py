@@ -18,20 +18,19 @@ verify) onto ``result.stages``.
 
 from __future__ import annotations
 
-import itertools
 import random
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.db.layouts import GSDRAMStore, StorageLayout
+from repro.db.layouts import ColumnStore, GSDRAMStore, RowStore, StorageLayout
 from repro.db.table import OracleTable, VecOracleTable
 from repro.db.workload import (
     AnalyticsQuery,
     HTAPWorkload,
     TransactionMix,
     generate_transaction_arrays,
-    generate_transactions,
     make_rows,
     make_rows_array,
 )
@@ -39,6 +38,7 @@ from repro.errors import ConfigError, WorkloadError
 from repro.sim.config import SystemConfig, plain_dram_config, table1_config
 from repro.sim.results import RunResult, StageTimer
 from repro.sim.system import System
+from repro.vec.kernels import loaded_addresses
 from repro.vec.shim import component_snapshot
 
 
@@ -61,17 +61,15 @@ def system_for(layout: StorageLayout, cores: int = 1, prefetch: bool = False,
 def _vectorized(layout: StorageLayout, mode: str) -> bool:
     """True when this run uses the vectorized (no-machine) engine.
 
-    ``mode="fast"`` exists only for the layouts :mod:`repro.vec.db`
-    models exactly; any other layout (``PartialGatherStore``, for one)
-    raises :class:`~repro.errors.ConfigError`.
+    ``mode="fast"`` exists only for the three standard layouts; any
+    other layout (``PartialGatherStore``, for one) raises
+    :class:`~repro.errors.ConfigError`.
     """
     if mode == "event":
         return False
     if mode != "fast":
         raise ConfigError(f"unknown run mode {mode!r}")
-    from repro.vec.db import fast_layout_supported
-
-    if not fast_layout_supported(layout):
+    if type(layout) not in (RowStore, ColumnStore, GSDRAMStore):
         raise ConfigError(
             f"no fast path for layout {layout.name!r}; use mode='event'"
         )
@@ -133,7 +131,8 @@ def run_transactions(
 
     with timer.stage("generate"):
         rows = make_rows(schema, num_tuples)
-        txns = generate_transactions(schema, num_tuples, mix, count, seed)
+        txns = generate_transaction_arrays(schema, num_tuples, mix, count,
+                                           seed)
     with timer.stage("setup"):
         system = system_for(layout, prefetch=prefetch,
                             **(config_overrides or {}))
@@ -142,14 +141,12 @@ def run_transactions(
 
     observed: list[int] = []
     with timer.stage("run"):
-        result = system.run(
-            [layout.transactions_program(txns, observed.append)]
-        )
+        result = system.run([layout.transaction_ops(txns, observed.append)])
     stats = component_snapshot(system)
 
     with timer.stage("verify"):
         oracle = OracleTable(schema, rows)
-        expected_reads = oracle.apply_all(txns)
+        expected_reads = oracle.apply_all(txns.to_transactions())
         verified = (observed == expected_reads
                     and layout.read_rows() == oracle.rows)
     timer.attach(result)
@@ -235,8 +232,10 @@ class HTAPRun:
     committed_txns: int
     txn_throughput_mps: float  # million transactions per second
     result: RunResult
-    #: Functional verification and the analytics answer (phased runs
-    #: only; the open-ended variant's answer depends on timing).
+    #: Functional verification and the analytics answer. The open-ended
+    #: variant's answer depends on timing, so it checks that every value
+    #: the scan read is its cell's initial value or one a started
+    #: transaction wrote there.
     verified: bool = True
     answer: int | None = None
     component_stats: dict | None = None
@@ -248,16 +247,39 @@ def _endless_transactions(
     num_tuples: int,
     seed: int,
     committed: list[int],
+    written: set[tuple[int, int]],
 ):
-    """Open-ended transaction stream; counts committed transactions."""
+    """Open-ended transaction stream; counts committed transactions.
+
+    ``written`` collects the ``(cell, value)`` pair of every write of
+    each transaction the stream starts.
+    """
     schema = layout.schema
     rng = random.Random(seed)
-    for txn_index in itertools.count():
-        txns = generate_transactions(
+    while True:
+        txns = generate_transaction_arrays(
             schema, num_tuples, mix, 1, seed=rng.randrange(1 << 30)
         )
-        yield from layout.transaction_ops(txns[0])
+        writes = txns.writes
+        cells = txns.tuple_ids[writes] * schema.num_fields + txns.fields[writes]
+        written.update(zip(cells.tolist(), txns.values[writes].tolist()))
+        yield from layout.transaction_ops(txns)
         committed[0] += 1
+
+
+def _scan_consistent(layout: StorageLayout, config: SystemConfig,
+                     query: AnalyticsQuery, observed, initial: np.ndarray,
+                     written: set[tuple[int, int]]) -> bool:
+    """True when every value the scan read is its cell's initial value
+    or a value some started transaction wrote to that cell."""
+    scan = layout.scan_stream(query)
+    cells = layout.cells(loaded_addresses(scan.addresses, scan.patterns,
+                                          config))
+    values = np.asarray(observed, dtype=np.int64)
+    if values.size != cells.size:
+        return False
+    stale = np.flatnonzero(values != initial.reshape(-1)[cells])
+    return set(zip(cells[stale].tolist(), values[stale].tolist())) <= written
 
 
 def run_htap(
@@ -298,22 +320,27 @@ def run_htap(
 
     timer = StageTimer()
     with timer.stage("generate"):
-        rows = make_rows(schema, num_tuples)
+        rows = make_rows_array(schema, num_tuples)
     with timer.stage("setup"):
         system = system_for(layout, cores=2, prefetch=prefetch,
                             **(config_overrides or {}))
         layout.attach(system, num_tuples)
         layout.load_rows(rows)
 
-    total = [0]
+    observed = array("Q")
     committed = [0]
-    analytics = layout.analytics_ops(workload.analytics, lambda v: total.__setitem__(0, total[0] + v))
+    written: set[tuple[int, int]] = set()
+    analytics = layout.analytics_ops(workload.analytics, observed.append)
     txn_stream = _endless_transactions(
-        layout, workload.txn_mix, num_tuples, workload.txn_seed, committed
+        layout, workload.txn_mix, num_tuples, workload.txn_seed, committed,
+        written,
     )
     with timer.stage("run"):
         result = system.run([analytics, txn_stream], stop_on_core=0)
     stats = component_snapshot(system)
+    with timer.stage("verify"):
+        verified = _scan_consistent(layout, system.config, workload.analytics,
+                                    observed, rows, written)
 
     analytics_cycles = system.cores[0].finish_time or result.cycles
     if analytics_cycles <= 0:
@@ -328,8 +355,9 @@ def run_htap(
         committed[0],
         throughput,
         result,
-        answer=total[0],
-        component_stats=stats,
+        verified,
+        sum(observed),
+        stats,
     )
 
 
@@ -387,11 +415,11 @@ def _run_htap_phased(
 
     with timer.stage("generate"):
         rows = make_rows(schema, num_tuples)
-        txns_a = generate_transactions(
+        txns_a = generate_transaction_arrays(
             schema, num_tuples, workload.txn_mix, count_a,
             seed=workload.txn_seed,
         )
-        txns_b = generate_transactions(
+        txns_b = generate_transaction_arrays(
             schema, num_tuples, workload.txn_mix, count_b,
             seed=workload.txn_seed + 1,
         )
@@ -404,22 +432,20 @@ def _run_htap_phased(
     total = [0]
 
     def program():
-        for txn in txns_a:
-            yield from layout.transaction_ops(txn)
+        yield from layout.transaction_ops(txns_a)
         yield from layout.analytics_ops(
             workload.analytics, lambda v: total.__setitem__(0, total[0] + v)
         )
-        for txn in txns_b:
-            yield from layout.transaction_ops(txn)
+        yield from layout.transaction_ops(txns_b)
 
     with timer.stage("run"):
         result = system.run([program()])
     stats = component_snapshot(system)
     with timer.stage("verify"):
         oracle = OracleTable(schema, rows)
-        oracle.apply_all(txns_a)
+        oracle.apply_all(txns_a.to_transactions())
         expected_mid = oracle.column_sum(workload.analytics)
-        oracle.apply_all(txns_b)
+        oracle.apply_all(txns_b.to_transactions())
         verified = (total[0] == expected_mid
                     and layout.read_rows() == oracle.rows)
     analytics_cycles = result.cycles

@@ -12,21 +12,20 @@ Three workload families, matching the paper:
   read-only and one write-only field).
 
 Workloads are layout-independent *specifications*; the layouts in
-:mod:`repro.db.layouts` translate them into instruction streams.
+:mod:`repro.db.layouts` translate them into access streams.
 
 Generation is vectorized (phase 3): the canonical transaction stream
 for a (schema, num_tuples, mix, count, seed) tuple is drawn in batch
 with numpy (:func:`generate_transaction_arrays`), and the table master
 copy is a memoized read-only numpy array (:func:`make_rows_array`).
 :func:`generate_transactions` / :func:`make_rows` derive the
-object/list forms the event drivers consume from the same draws, so
+object/list forms the scalar oracle consumes from the same draws, so
 both execution modes always see the same workload.
 """
 
 from __future__ import annotations
 
 import functools
-import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,10 +97,11 @@ class TransactionArrays:
     The columnar twin of ``list[Transaction]``: operation ``p`` touches
     field ``fields[p]`` of tuple ``tuple_ids[p]``; ``writes[p]`` marks
     stores and ``values[p]`` carries the stored value (0 for reads).
-    The vectorized engines (:mod:`repro.vec.db`) and the vectorized
-    oracle (:class:`~repro.db.table.VecOracleTable`) consume this form
+    The layouts' transaction streams and the vectorized oracle
+    (:class:`~repro.db.table.VecOracleTable`) consume this form
     directly; :meth:`to_transactions` materializes the object form for
-    the event drivers. All arrays are read-only views.
+    the scalar :class:`~repro.db.table.OracleTable`. All arrays are
+    read-only views.
     """
 
     mix: TransactionMix
@@ -218,7 +218,7 @@ def generate_transactions(
     """Deterministic transaction stream for one i-j-k mix.
 
     The object form of :func:`generate_transaction_arrays` — same
-    draws, same program order — consumed by the event drivers and any
+    draws, same program order — consumed by the scalar oracle and any
     caller that wants per-transaction objects.
     """
     return generate_transaction_arrays(
@@ -284,9 +284,3 @@ def make_rows(schema: TableSchema, num_tuples: int, seed: int = 1) -> list[list[
 def clear_workload_caches() -> None:
     """Drop the memoized master tables (cold-timing benchmarks)."""
     _rows_master.cache_clear()
-
-
-# Kept for callers that need a seeded scalar RNG compatible with the
-# pre-phase-3 generator (none in-tree; the vectorized draws above are
-# the canonical stream).
-_SCALAR_RNG = random.Random

@@ -26,12 +26,11 @@ from repro.core.pattern import chip_conflicts
 from repro.db.engine import run_analytics
 from repro.db.layouts import GSDRAMStore, RowStore
 from repro.db.workload import AnalyticsQuery, TransactionMix
-from repro.db.table import OracleTable
-from repro.db.workload import make_rows
 from repro.harness.common import Scale, current_scale
+from repro.harness.patternscan import SWEEP_STRIDES, run_patternscan
 from repro.cpu.isa import Load
 from repro.perf import RunSpec, run_specs
-from repro.sim.config import SchedulerKind, impulse_config, plain_dram_config, table1_config
+from repro.sim.config import Mechanism, SchedulerKind, plain_dram_config, table1_config
 from repro.sim.system import System
 from repro.utils.records import FigureResult
 
@@ -168,27 +167,18 @@ def run_impulse_ablation(num_tuples: int = 8192) -> FigureResult:
     )
     query = AnalyticsQuery((0,))
 
-    # Row Store and GS-DRAM through the standard drivers.
     row = run_analytics(RowStore(), query, num_tuples=num_tuples)
     gs = run_analytics(GSDRAMStore(), query, num_tuples=num_tuples)
-
-    # Impulse: the GS layout's op stream over an Impulse system.
-    layout = GSDRAMStore()
-    system = System(impulse_config())
-    rows = make_rows(layout.schema, num_tuples)
-    oracle = OracleTable(layout.schema, rows)
-    layout.attach(system, num_tuples)
-    layout.load_rows(rows)
-    total = [0]
-    impulse_result = system.run(
-        [layout.analytics_ops(query, lambda v: total.__setitem__(0, total[0] + v))]
+    impulse = run_analytics(
+        GSDRAMStore(), query, num_tuples=num_tuples,
+        config_overrides={"mechanism": Mechanism.IMPULSE},
     )
-    if total[0] != oracle.column_sum(query):
+    if not impulse.verified:
         raise AssertionError("Impulse analytics answer mismatch")
 
     for name, result in (
         ("Row Store", row.result),
-        ("Impulse", impulse_result),
+        ("Impulse", impulse.result),
         ("GS-DRAM", gs.result),
     ):
         figure.add_point(name, "cycles", result.cycles)
@@ -272,76 +262,27 @@ def run_pattern_sweep(lines: int = 2048) -> FigureResult:
     The data is ``lines`` cache lines of 8-byte values. For stride
     ``2^k`` the scan touches every ``2^k``-th value; the scalar version
     loads through pattern 0 (one line per ``8/2^k`` useful values), the
-    gathered version uses pattern ``2^k - 1``.
+    gathered version uses pattern ``2^k - 1``. Each point is one event
+    run of :func:`~repro.harness.patternscan.run_patternscan`.
     """
-    import struct
-
-    from repro.cpu.isa import Compute, Load, pattload
-
     figure = FigureResult(
         figure="abl-6",
         description=f"Strided scans over {lines} lines: scalar vs gathered",
         x_label="stride",
     )
-    total_values = lines * 8
-
-    for k in (1, 2, 3):
-        stride = 1 << k
-        pattern = stride - 1
-        group = pattern + 1
-
-        def build_system():
-            system = System(table1_config(l2_size=64 * 1024))
-            base = system.pattmalloc(lines * 64, shuffle=True, pattern=pattern)
-            payload = struct.pack(f"<{total_values}Q", *range(total_values))
-            system.mem_write(base, payload)
-            return system, base
-
-        expected = sum(range(0, total_values, stride))
-
-        # Scalar strided scan (pattern 0).
-        system, base = build_system()
-        total = [0]
-
-        def scalar():
-            for index in range(0, total_values, stride):
-                yield Load(base + index * 8, pc=0x7000 + k,
-                           on_value=lambda b: total.__setitem__(
-                               0, total[0] + struct.unpack("<Q", b)[0]))
-                yield Compute(1)
-
-        scalar_run = system.run([scalar()])
-        if total[0] != expected:
-            raise AssertionError(f"scalar stride-{stride} scan wrong")
-
-        # Gathered scan: each gathered line holds 8 stride-spaced values.
-        system2, base2 = build_system()
-        total2 = [0]
-
-        def gathered():
-            # Gathered line columns: one per group of `group` lines; the
-            # stride-aligned families start at column multiples of the
-            # group covering 8 values each.
-            values_per_line = 8
-            gathers = total_values // (stride * values_per_line)
-            for g in range(gathers):
-                column = g * group
-                for j in range(values_per_line):
-                    yield pattload(base2 + column * 64 + j * 8,
-                                   pattern=pattern,
-                                   pc=(0x7100 if j else 0x7180) + k,
-                                   on_value=lambda b: total2.__setitem__(
-                                       0, total2[0] + struct.unpack("<Q", b)[0]))
-                    yield Compute(1)
-
-        gathered_run = system2.run([gathered()])
-        if total2[0] != expected:
-            raise AssertionError(f"gathered stride-{stride} scan wrong")
-
-        figure.add_point("scalar cycles", stride, scalar_run.cycles)
-        figure.add_point("gathered cycles", stride, gathered_run.cycles)
-        figure.add_point("scalar DRAM reads", stride, scalar_run.dram_reads)
-        figure.add_point("gathered DRAM reads", stride, gathered_run.dram_reads)
+    for stride in SWEEP_STRIDES:
+        scalar, gathered = (
+            run_patternscan(variant, stride, lines=lines)
+            for variant in ("scalar", "gathered")
+        )
+        for run in (scalar, gathered):
+            if not run.verified:
+                raise AssertionError(f"{run.variant} stride-{stride} scan wrong")
+        figure.add_point("scalar cycles", stride, scalar.result.cycles)
+        figure.add_point("gathered cycles", stride, gathered.result.cycles)
+        figure.add_point("scalar DRAM reads", stride, scalar.result.dram_reads)
+        figure.add_point("gathered DRAM reads", stride,
+                         gathered.result.dram_reads)
     figure.notes.append(
         "traffic reduction equals the stride (a gathered line replaces "
         "`stride` partially-used lines); cycle gains follow"

@@ -6,17 +6,17 @@ a scalar strided scan (pattern 0) or the equivalent gathered scan
 counts, the scan answer, a digest of every loaded value, and the DRAM
 row-locality profile.
 
-Two execution modes produce bit-identical functional results:
+Both execution modes consume one access stream (:func:`_scan_stream`)
+and produce bit-identical functional results:
 
-- ``mode="event"`` — the full event-driven machine, exactly as
-  :func:`repro.harness.ablations.run_pattern_sweep` builds it (same
-  config, same allocation, same op stream, same PCs). Timing outputs
-  (cycles, queue delays) are meaningful.
-- ``mode="fast"`` — no machine at all: the access stream and the
-  gathered values come from the batched kernels of :mod:`repro.vec`,
-  and the cache behaviour and row-buffer locality from replaying that
-  stream through :class:`~repro.vec.hier.DirtyReplay`. Timing outputs
-  are zero.
+- ``mode="event"`` — the full event-driven machine runs the stream
+  through :func:`~repro.cpu.stream.scan_ops`. Timing outputs (cycles,
+  queue delays) are meaningful; abl-6
+  (:func:`repro.harness.ablations.run_pattern_sweep`) reports them.
+- ``mode="fast"`` — no machine at all: the gathered values come from
+  :func:`~repro.vec.kernels.loaded_addresses`, and the cache behaviour
+  and row-buffer locality from replaying the stream through
+  :class:`~repro.vec.hier.DirtyReplay`. Timing outputs are zero.
 
 Equivalence between the two is not assumed: :mod:`repro.check.fastpath`
 diffs them access-for-access, and the bench harness
@@ -30,12 +30,11 @@ the program order the fast path replays.
 from __future__ import annotations
 
 import hashlib
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.cpu.isa import Compute, Load, pattload
+from repro.cpu.stream import AccessStream, scan_ops
 from repro.dram.address import MappingPolicy
 from repro.errors import ConfigError, WorkloadError
 from repro.perf.specs import RunSpec
@@ -44,7 +43,7 @@ from repro.sim.results import RunResult, StageTimer
 from repro.sim.system import System
 from repro.utils.bitops import is_power_of_two
 from repro.vec.hier import DirtyReplay
-from repro.vec.kernels import gather_addresses_batch
+from repro.vec.kernels import loaded_addresses
 from repro.vec.shim import component_snapshot
 from repro.vm.pattmalloc import PattAllocator
 
@@ -52,6 +51,10 @@ from repro.vm.pattmalloc import PattAllocator
 #: pattern space supports with 8 values per line.
 SWEEP_STRIDES = (2, 4, 8)
 VARIANTS = ("scalar", "gathered")
+
+#: The scanned data: 8-byte values, 8 to a 64-byte line.
+_LINE_BYTES = 64
+_VALUE_BYTES = 8
 
 
 @dataclass
@@ -134,6 +137,54 @@ def pattern_sweep_specs(
     ]
 
 
+def _scan_stream(variant: str, stride: int, lines: int,
+                 base: int) -> AccessStream:
+    """Every ``stride``-th value of ``lines`` lines at ``base``.
+
+    The data is allocated shuffled with alternate pattern
+    ``stride - 1``. The scalar scan loads each value through pattern 0
+    (one line per ``8 / stride`` useful values); the gathered scan
+    issues 8 pattloads per gathered line, one line per ``stride``
+    columns.
+    """
+    pattern = stride - 1
+    k = stride.bit_length() - 1
+    total_values = lines * 8
+    if variant == "scalar":
+        indices = np.arange(0, total_values, stride, dtype=np.int64)
+        return AccessStream.build(base + indices * _VALUE_BYTES, 0, 0x7000 + k,
+                                  alt=pattern, shuffled=True)
+    gathers = total_values // (stride * 8)
+    columns = np.arange(gathers, dtype=np.int64) * stride
+    positions = np.arange(8, dtype=np.int64)
+    addresses = (base + columns[:, None] * _LINE_BYTES
+                 + positions[None, :] * _VALUE_BYTES)
+    pcs = np.where(positions == 0, 0x7180, 0x7100) + k
+    return AccessStream.build(
+        addresses.reshape(-1), pattern, np.tile(pcs, gathers),
+        alt=pattern, shuffled=True,
+    )
+
+
+def _scan_run(variant: str, stride: int, lines: int, mode: str,
+              result: RunResult, values: np.ndarray,
+              **observed) -> PatternScanRun:
+    answer = int(values.sum())
+    expected = sum(range(0, lines * 8, stride))
+    return PatternScanRun(
+        variant=variant,
+        stride=stride,
+        lines=lines,
+        mode=mode,
+        result=result,
+        answer=answer,
+        expected=expected,
+        verified=answer == expected,
+        values_digest=hashlib.sha256(values.astype("<u8").tobytes()).hexdigest(),
+        **observed,
+    )
+
+
 # ----------------------------------------------------------------------
 # Event mode: the full machine, instrumented for the row profile
 # ----------------------------------------------------------------------
@@ -143,63 +194,31 @@ def _run_event(
     timer = StageTimer()
     with timer.stage("setup"):
         config = _scan_config(variant, config_overrides)
-        pattern = stride - 1
-        total_values = lines * 8
-
         system = System(config)
         # The per-bank row profile is derived from the actual command
         # stream, so the fast path's analytics are checked against
         # commands the controller really issued, not a second model of
         # them.
         system.controller.trace_commands = True
-        base = system.pattmalloc(lines * 64, shuffle=True, pattern=pattern)
+        base = system.pattmalloc(lines * _LINE_BYTES, shuffle=True,
+                                 pattern=stride - 1)
     with timer.stage("generate"):
-        system.mem_write(
-            base, struct.pack(f"<{total_values}Q", *range(total_values))
-        )
+        system.mem_write(base, np.arange(lines * 8, dtype="<u8").tobytes())
+        stream = _scan_stream(variant, stride, lines, base)
 
     chunks: list[bytes] = []
-    k = stride.bit_length() - 1
-
-    def scalar_ops():
-        for index in range(0, total_values, stride):
-            yield Load(base + index * 8, pc=0x7000 + k, on_value=chunks.append)
-            yield Compute(1)
-
-    def gathered_ops():
-        gathers = total_values // (stride * 8)
-        for g in range(gathers):
-            column = g * stride
-            for j in range(8):
-                yield pattload(
-                    base + column * 64 + j * 8,
-                    pattern=pattern,
-                    pc=(0x7100 if j else 0x7180) + k,
-                    on_value=chunks.append,
-                )
-                yield Compute(1)
-
-    ops = scalar_ops() if variant == "scalar" else gathered_ops()
     with timer.stage("run"):
-        result = system.run([ops])
+        result = system.run([scan_ops(stream, chunks.append)])
 
     with timer.stage("verify"):
-        answer = sum(struct.unpack("<Q", chunk)[0] for chunk in chunks)
-        expected = sum(range(0, total_values, stride))
+        run = _scan_run(
+            variant, stride, lines, "event", result,
+            np.frombuffer(b"".join(chunks), dtype="<u8"),
+            row_profile=_profile_from_commands(system.controller.command_trace),
+            component_stats=component_snapshot(system),
+        )
     timer.attach(result)
-    return PatternScanRun(
-        variant=variant,
-        stride=stride,
-        lines=lines,
-        mode="event",
-        result=result,
-        answer=answer,
-        expected=expected,
-        verified=answer == expected,
-        values_digest=hashlib.sha256(b"".join(chunks)).hexdigest(),
-        row_profile=_profile_from_commands(system.controller.command_trace),
-        component_stats=component_snapshot(system),
-    )
+    return run
 
 
 def _profile_from_commands(command_trace) -> dict:
@@ -238,7 +257,7 @@ def _profile_from_commands(command_trace) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Fast mode: batched kernels + DirtyReplay, no machine
+# Fast mode: the same stream through DirtyReplay, no machine
 # ----------------------------------------------------------------------
 def _run_fast(
     variant: str, stride: int, lines: int, config_overrides: dict | None
@@ -247,93 +266,44 @@ def _run_fast(
     with timer.stage("setup"):
         config = _scan_config(variant, config_overrides)
         geometry = config.geometry
-        line_bytes = geometry.line_bytes
-        pattern = stride - 1
-        total_values = lines * 8
-
         # Identical physical placement: the same bump allocator the
         # System uses, so base addresses (and therefore bank/row
         # coordinates) match the event run byte for byte.
         allocator = PattAllocator(
             capacity_bytes=geometry.capacity_bytes,
-            line_bytes=line_bytes,
+            line_bytes=geometry.line_bytes,
             row_bytes=geometry.row_bytes,
         )
-        base = allocator.pattmalloc(lines * 64, shuffle=True, pattern=pattern)
+        base = allocator.pattmalloc(lines * _LINE_BYTES, shuffle=True,
+                                    pattern=stride - 1)
     with timer.stage("generate"):
-        payload = np.arange(total_values, dtype=np.int64)
+        payload = np.arange(lines * 8, dtype=np.int64)
+        stream = _scan_stream(variant, stride, lines, base)
 
     with timer.stage("run"):
-        if variant == "scalar":
-            value_indices = np.arange(0, total_values, stride, dtype=np.int64)
-            addresses = base + value_indices * 8
-            line_addresses = addresses & ~np.int64(line_bytes - 1)
-            patterns = np.zeros_like(line_addresses)
-            values = payload[value_indices]
-        else:
-            gathers = total_values // (stride * 8)
-            columns = np.arange(gathers, dtype=np.int64) * stride
-            gathered_lines = base + columns * line_bytes
-            slots = gather_addresses_batch(
-                gathered_lines,
-                np.full(gathers, pattern, dtype=np.int64),
-                chips=geometry.chips,
-                banks=geometry.banks,
-                rows_per_bank=geometry.rows_per_bank,
-                columns_per_row=geometry.columns_per_row,
-                column_bytes=geometry.column_bytes,
-                shuffle_stages=config.shuffle_stages,
-                pattern_bits=config.pattern_bits,
-                bank_interleaved=(
-                    config.mapping_policy is MappingPolicy.BANK_INTERLEAVED
-                ),
-            )
-            source_indices = slots - base
-            if source_indices.size and (
-                int(source_indices.min()) < 0
-                or int(source_indices.max()) >= total_values * 8
-                or (source_indices % 8).any()
-            ):
-                raise WorkloadError(
-                    "gathered value addresses escaped the allocation"
-                )
-            values = payload[source_indices // 8].reshape(-1)
-            line_addresses = np.repeat(gathered_lines, geometry.chips)
-            patterns = np.full_like(line_addresses, pattern)
-
-        # Every access is a load from the region pattmalloc'd above
-        # (shuffled, alternate pattern ``pattern``).
-        accesses = int(line_addresses.size)
         replay = DirtyReplay(config)
-        replay.run(
-            line_addresses,
-            patterns,
-            np.full(accesses, pattern, dtype=np.int64),
-            np.zeros(accesses, dtype=bool),
-            np.ones(accesses, dtype=bool),
-        )
+        replay.run(stream.line_addresses(geometry.line_bytes), stream.patterns,
+                   stream.alts, stream.writes, stream.shuffled)
         result = replay.collect_result(
-            instructions=2 * accesses, loads=accesses, stores=0
+            instructions=2 * len(stream), loads=len(stream), stores=0
         )
-        profile = replay.row_profile()
 
     with timer.stage("verify"):
-        answer = int(values.sum())
-        expected = sum(range(0, total_values, stride))
-        digest = hashlib.sha256(values.astype("<u8").tobytes()).hexdigest()
+        offsets = loaded_addresses(stream.addresses, stream.patterns,
+                                   config) - base
+        if offsets.size and (
+            int(offsets.min()) < 0
+            or int(offsets.max()) >= payload.size * _VALUE_BYTES
+            or (offsets % _VALUE_BYTES).any()
+        ):
+            raise WorkloadError("loaded value addresses escaped the allocation")
+        run = _scan_run(
+            variant, stride, lines, "fast", result,
+            payload[offsets // _VALUE_BYTES],
+            row_profile=replay.row_profile().as_dict(),
+            component_stats=replay.component_stats(),
+        )
 
     timer.attach(result)
     replay.attach_session(result)
-    return PatternScanRun(
-        variant=variant,
-        stride=stride,
-        lines=lines,
-        mode="fast",
-        result=result,
-        answer=answer,
-        expected=expected,
-        verified=answer == expected,
-        values_digest=digest,
-        row_profile=profile.as_dict(),
-        component_stats=replay.component_stats(),
-    )
+    return run

@@ -5,22 +5,24 @@ XOR butterfly, the column translation logic an AND + XOR — but the
 figure sweeps evaluate them per access in pure Python. This package
 batches that math over whole ``numpy`` int64 arrays:
 
-- :mod:`repro.vec.kernels` — array variants of the shuffle, the CTL
-  translation, gather-address assembly, DRAM address (de)composition,
-  and bit utilities. The scalar functions in :mod:`repro.core.shuffle`,
-  :mod:`repro.core.pattern`, :mod:`repro.core.ctl`, and
-  :mod:`repro.utils.bitops` remain the reference implementations.
+- :mod:`repro.vec.kernels` — array variants of the CTL translation,
+  gather-address assembly and DRAM address (de)composition, plus
+  :func:`~repro.vec.kernels.loaded_addresses`, which maps an access
+  stream to the addresses of the values it reads. The scalar functions
+  in :mod:`repro.core.ctl`, :mod:`repro.dram.address` and
+  :mod:`repro.check.oracle` remain the reference implementations.
 - :mod:`repro.vec.hier` — :class:`DirtyReplay`, the fast path's one
   model of the caches, the DBI and the controller: a metadata-only
   replay of their accounting over prepared address arrays (no
   simulated machine, no byte movement, pattern ID in the tag per
   Section 4.1), plus the :func:`assert_fast_compatible` gate.
-- :mod:`repro.vec.db` / :mod:`repro.vec.gemm` — vectorized twins of
+- :mod:`repro.vec.db` / :mod:`repro.vec.gemm` — the fast paths of
   the DB query engines (:mod:`repro.db.engine`) and the GEMM kernels
   (:mod:`repro.gemm.autotune`), dispatched via ``mode="fast"`` on the
-  drivers and stat-identical to the event machine. The fig7 sweep
-  (:mod:`repro.harness.patternscan`) drives :class:`DirtyReplay`
-  directly.
+  drivers and stat-identical to the event machine. ``vec.db`` replays
+  the layouts' own access streams (:mod:`repro.cpu.stream`); the fig7
+  sweep (:mod:`repro.harness.patternscan`) replays its scan stream
+  through :class:`DirtyReplay` directly.
 - :mod:`repro.vec.shim` — observability stand-ins so fast runs appear
   in :mod:`repro.obs` sessions with the same stat names as real
   machines, and the event-side component snapshot the equivalence
@@ -42,12 +44,7 @@ from repro.vec.kernels import (
     effective_chip_ids,
     encode_addresses,
     gather_addresses_batch,
-    gathered_value_indices,
-    reverse_bits_array,
-    shuffle_keys,
-    shuffle_lines,
-    unshuffle_lines,
-    xor_fold_array,
+    loaded_addresses,
 )
 
 __all__ = [
@@ -60,10 +57,5 @@ __all__ = [
     "encode_addresses",
     "fast_supported",
     "gather_addresses_batch",
-    "gathered_value_indices",
-    "reverse_bits_array",
-    "shuffle_keys",
-    "shuffle_lines",
-    "unshuffle_lines",
-    "xor_fold_array",
+    "loaded_addresses",
 ]

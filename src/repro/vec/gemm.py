@@ -11,7 +11,7 @@ DRAM accounting, with no simulated machine and no byte movement.
 Functional results are *recomputed from the generated addresses*: the
 A/B operand matrices are re-gathered by indexing the value arrays with
 ``(address - base) // 8``, and the GS kernel's B additionally flows
-through :func:`~repro.vec.kernels.gather_addresses_batch`, so a bug in
+through :func:`~repro.vec.kernels.loaded_addresses`, so a bug in
 the address or gather math corrupts the product and fails verification
 against the ``A @ B`` oracle, exactly as in the event path.
 """
@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.dram.address import MappingPolicy
 from repro.errors import WorkloadError
 from repro.gemm.autotune import GEMM_CACHE_OVERRIDES, GemmRun
 from repro.gemm.matrix import BLOCK, ELEM, random_matrix
 from repro.sim.config import SystemConfig, plain_dram_config, table1_config
 from repro.sim.results import StageTimer
 from repro.vec.hier import DirtyReplay
-from repro.vec.kernels import gather_addresses_batch
+from repro.vec.kernels import loaded_addresses
 from repro.vm.pattmalloc import PattAllocator
 
 #: SIMD lanes per register, matching repro.gemm.kernels.W.
@@ -280,21 +279,11 @@ def fast_gs(n: int, tile: int, seed: int = 3,
         blocks_per_side = n // BLOCK
         total_lines = n * n // BLOCK
         line_index = np.arange(total_lines, dtype=np.int64)
-        slots = gather_addresses_batch(
-            base_b + line_index * line_bytes,
-            np.full(total_lines, pattern, dtype=np.int64),
-            chips=geometry.chips,
-            banks=geometry.banks,
-            rows_per_bank=geometry.rows_per_bank,
-            columns_per_row=geometry.columns_per_row,
-            column_bytes=geometry.column_bytes,
-            shuffle_stages=config.shuffle_stages,
-            pattern_bits=config.pattern_bits,
-            bank_interleaved=(
-                config.mapping_policy is MappingPolicy.BANK_INTERLEAVED
-            ),
-        )
-        source = slots - base_b
+        accesses = (base_b + line_index[:, None] * line_bytes
+                    + np.arange(BLOCK, dtype=np.int64)[None, :] * ELEM)
+        source = loaded_addresses(
+            accesses.reshape(-1), pattern, config
+        ).reshape(total_lines, BLOCK) - base_b
         if source.size and (
             int(source.min()) < 0
             or int(source.max()) >= n * n * ELEM

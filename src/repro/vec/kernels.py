@@ -6,18 +6,17 @@ tree, which stays the reference implementation:
 ==============================  =========================================
 kernel                          scalar reference
 ==============================  =========================================
-:func:`shuffle_keys`            :func:`repro.core.shuffle.shuffle_key`
-:func:`shuffle_lines`           :func:`repro.core.shuffle.shuffle`
-:func:`unshuffle_lines`         :func:`repro.core.shuffle.unshuffle`
 :func:`effective_chip_ids`      ``repro.core.ctl._effective`` widening
 :func:`ctl_translate`           :meth:`repro.core.ctl.ColumnTranslationLogic.translate`
-:func:`gathered_value_indices`  :func:`repro.core.pattern.gathered_values`
 :func:`gather_addresses_batch`  :meth:`repro.check.oracle.MemoryOracle.gather_addresses`
 :func:`decompose_addresses`     :meth:`repro.dram.address.AddressMapping.decode`
 :func:`encode_addresses`        :meth:`repro.dram.address.AddressMapping.encode`
-:func:`reverse_bits_array`      :func:`repro.utils.bitops.reverse_bits`
-:func:`xor_fold_array`          :func:`repro.utils.bitops.xor_fold`
 ==============================  =========================================
+
+:func:`loaded_addresses` applies :func:`gather_addresses_batch` to an
+access stream: it is the one place a
+:class:`~repro.sim.config.SystemConfig` is unpacked into the gather
+geometry, so every fast consumer recovers gathered values the same way.
 
 All kernels validate their inputs with the same exception types as the
 scalar forms (:class:`PatternError` / :class:`AddressError`), raised
@@ -36,44 +35,6 @@ from repro.utils.bitops import ilog2, mask
 def _as_array(values) -> np.ndarray:
     array = np.asarray(values, dtype=np.int64)
     return array
-
-
-# ----------------------------------------------------------------------
-# Shuffle (Section 3.5's XOR butterfly)
-# ----------------------------------------------------------------------
-def shuffle_keys(columns, stages: int) -> np.ndarray:
-    """Per-column shuffle key: the low ``stages`` bits of each column."""
-    if stages < 0:
-        raise ConfigError(f"negative shuffle stages: {stages}")
-    return _as_array(columns) & mask(stages)
-
-
-def shuffle_lines(values, columns, stages: int) -> np.ndarray:
-    """Shuffle a batch of cache lines: ``out[i, j] = values[i, j ^ key_i]``.
-
-    ``values`` is ``(N, chips)``; ``columns`` is ``(N,)``. The shuffle
-    is an involution, so :func:`unshuffle_lines` is the same operation.
-    """
-    values = np.asarray(values)
-    if values.ndim != 2:
-        raise ConfigError(f"expected (N, chips) values, got shape {values.shape}")
-    chips = values.shape[1]
-    keys = shuffle_keys(columns, stages)
-    if keys.shape != (values.shape[0],):
-        raise ConfigError(
-            f"columns shape {keys.shape} does not match {values.shape[0]} lines"
-        )
-    sources = np.arange(chips, dtype=np.int64)[None, :] ^ keys[:, None]
-    if chips and int(sources.max()) >= chips:
-        raise ConfigError(
-            f"shuffle key exceeds chip count {chips}; too many stages?"
-        )
-    return np.take_along_axis(values, sources, axis=1)
-
-
-def unshuffle_lines(values, columns, stages: int) -> np.ndarray:
-    """Inverse shuffle (the XOR butterfly is its own inverse)."""
-    return shuffle_lines(values, columns, stages)
 
 
 # ----------------------------------------------------------------------
@@ -123,25 +84,6 @@ def ctl_translate(
     ):
         raise AddressError("translated column exceeds row width")
     return translated
-
-
-def gathered_value_indices(
-    chips: int, patterns, columns, shuffle_mask: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batch form of :func:`repro.core.pattern.gathered_values`.
-
-    Returns ``(chip_columns, value_indices)``, each ``(N, chips)``:
-    chip ``j`` of access ``i`` reads its column ``chip_columns[i, j]``,
-    where value ``value_indices[i, j]`` of that column's line lives.
-    """
-    if shuffle_mask is None:
-        shuffle_mask = chips - 1
-    chip_ids = np.arange(chips, dtype=np.int64)[None, :]
-    chip_columns = (chip_ids & _as_array(patterns)[:, None]) ^ (
-        _as_array(columns)[:, None]
-    )
-    value_indices = chip_ids ^ (chip_columns & shuffle_mask)
-    return chip_columns, value_indices
 
 
 # ----------------------------------------------------------------------
@@ -297,33 +239,40 @@ def gather_addresses_batch(
     return bases + value_indices * column_bytes
 
 
-# ----------------------------------------------------------------------
-# Bit utilities
-# ----------------------------------------------------------------------
-def reverse_bits_array(values, width: int) -> np.ndarray:
-    """Reverse the low ``width`` bits of each value (array form of
-    :func:`repro.utils.bitops.reverse_bits`)."""
-    values = _as_array(values)
-    if width <= 0:
-        return np.zeros_like(values)
-    values = values & mask(width)
-    result = np.zeros_like(values)
-    # One pass per bit of *width* (<= 63 for int64), entirely in numpy.
-    for bit in range(width):
-        result |= ((values >> bit) & 1) << (width - 1 - bit)
-    return result
+def loaded_addresses(addresses, patterns, config) -> np.ndarray:
+    """Byte address of the value each aligned 8-byte access reads.
 
-
-def xor_fold_array(values, width: int) -> np.ndarray:
-    """XOR-fold each value down to ``width`` bits (array form of
-    :func:`repro.utils.bitops.xor_fold`)."""
-    if width <= 0:
-        raise AddressError(f"xor_fold width must be positive, got {width}")
-    values = _as_array(values)
-    if values.size and int(values.min()) < 0:
-        raise AddressError("xor_fold batch must be non-negative")
-    folded = np.zeros_like(values)
-    while values.any():
-        folded ^= values & mask(width)
-        values = values >> width
-    return folded
+    A pattern-0 access reads its own address. A ``pattload`` reads the
+    slot of its gathered line that its offset in the line selects.
+    Consecutive accesses to one gathered line share one gather.
+    """
+    addresses = _as_array(addresses)
+    patterns = np.broadcast_to(_as_array(patterns), addresses.shape)
+    loaded = addresses.copy()
+    gathered = np.flatnonzero(patterns)
+    geometry = config.geometry
+    line_bytes = geometry.line_bytes
+    accessed = addresses[gathered]
+    lines = accessed & ~np.int64(line_bytes - 1)
+    line_patterns = patterns[gathered]
+    head = np.ones(gathered.size, dtype=bool)
+    head[1:] = (lines[1:] != lines[:-1]) | (
+        line_patterns[1:] != line_patterns[:-1]
+    )
+    slots = gather_addresses_batch(
+        lines[head],
+        line_patterns[head],
+        chips=geometry.chips,
+        banks=geometry.banks,
+        rows_per_bank=geometry.rows_per_bank,
+        columns_per_row=geometry.columns_per_row,
+        column_bytes=geometry.column_bytes,
+        shuffle_stages=config.shuffle_stages,
+        pattern_bits=config.pattern_bits,
+        bank_interleaved=(
+            config.mapping_policy is MappingPolicy.BANK_INTERLEAVED
+        ),
+    )
+    positions = (accessed & (line_bytes - 1)) // geometry.column_bytes
+    loaded[gathered] = slots[np.cumsum(head) - 1, positions]
+    return loaded

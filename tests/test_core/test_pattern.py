@@ -129,6 +129,13 @@ class TestGatheredValues:
             assert chip_column == (chip_id & 7) ^ 5
             assert value == chip_id ^ (chip_column & 7)
 
+    def test_partial_shuffle_mask(self):
+        for chip_id, chip_column, value in gathered_values(
+            8, 3, 5, shuffle_mask=0b01
+        ):
+            assert chip_column == (chip_id & 3) ^ 5
+            assert value == chip_id ^ (chip_column & 0b01)
+
 
 class TestChipConflicts:
     def test_full_shuffle_no_conflicts(self):

@@ -1,5 +1,7 @@
 """Tests for the DB experiment drivers (small-scale end-to-end)."""
 
+import itertools
+
 import pytest
 
 from repro.db.engine import run_analytics, run_htap, run_transactions
@@ -85,3 +87,39 @@ class TestHTAP:
         # The txn thread was cancelled; committed count is finite and
         # proportional to the analytics runtime.
         assert run.committed_txns < 100_000
+
+
+class TestOpenEndedHTAPVerification:
+    """The open-ended scan is checked value by value: each value must be
+    its cell's initial value or one a started transaction wrote there."""
+
+    @staticmethod
+    def run(layout):
+        return run_htap(layout, num_tuples=512,
+                        config_overrides={"l2_size": 64 * 1024})
+
+    @pytest.mark.parametrize("layout_cls", [RowStore, GSDRAMStore])
+    def test_clean_scan_verifies(self, layout_cls):
+        run = self.run(layout_cls())
+        assert run.committed_txns > 0
+        assert run.verified is True
+
+    def test_corrupted_scan_value_fails(self):
+        layout = GSDRAMStore()
+        scan = layout.analytics_ops
+
+        def corrupting(query, on_value):
+            seen = itertools.count()
+            return scan(query, lambda value: on_value(
+                value + 1 if next(seen) == 100 else value))
+
+        layout.analytics_ops = corrupting
+        assert self.run(layout).verified is False
+
+    def test_wrong_field_scan_fails(self):
+        layout = RowStore()
+        scan = layout.analytics_ops
+        layout.analytics_ops = (
+            lambda query, on_value: scan(AnalyticsQuery((1,)), on_value)
+        )
+        assert self.run(layout).verified is False

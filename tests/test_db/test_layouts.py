@@ -2,11 +2,19 @@
 
 import pytest
 
-from repro.db.layouts import ColumnStore, GSDRAMStore, RowStore, all_layouts
-from repro.db.workload import make_rows
+from repro.db.engine import layout_config
+from repro.db.layouts import (
+    ColumnStore,
+    GSDRAMStore,
+    PartialGatherStore,
+    RowStore,
+    all_layouts,
+)
+from repro.db.workload import AnalyticsQuery, make_rows
 from repro.errors import WorkloadError
 from repro.sim.config import plain_dram_config, table1_config
 from repro.sim.system import System
+from repro.vec.kernels import loaded_addresses
 
 TUPLES = 64
 
@@ -56,6 +64,44 @@ class TestAddressing:
         assert a1 - a0 == 8
         # The gathered line for field f of group g is line (g + f).
         assert a0 == layout.base + 2 * 64
+
+
+class TestScanStream:
+    @pytest.mark.parametrize(
+        "make_layout,overrides",
+        [
+            (RowStore, {}),
+            (ColumnStore, {}),
+            (GSDRAMStore, {}),
+            (lambda: PartialGatherStore(1), {"shuffle_stages": 1}),
+            (lambda: PartialGatherStore(3), {"shuffle_stages": 2}),
+            (lambda: PartialGatherStore(7), {"shuffle_stages": 3}),
+        ],
+        ids=["row", "column", "gs", "partial-1", "partial-3", "partial-7"],
+    )
+    def test_scan_reads_every_queried_cell_once(self, make_layout, overrides):
+        layout = make_layout()
+        config = layout_config(layout, **overrides)
+        layout.attach(System(config), TUPLES)
+        query = AnalyticsQuery((0, 5))
+        stream = layout.scan_stream(query)
+        cells = layout.cells(
+            loaded_addresses(stream.addresses, stream.patterns, config)
+        )
+        fields = layout.schema.num_fields
+        assert sorted(cells.tolist()) == sorted(
+            tuple_id * fields + field
+            for field in query.fields
+            for tuple_id in range(TUPLES)
+        )
+
+    @pytest.mark.parametrize("layout_cls", [RowStore, ColumnStore])
+    def test_cells_inverts_field_addresses(self, layout_cls):
+        layout = layout_cls()
+        attach(layout)
+        assert layout.cells([layout.field_address(3, 5)]).tolist() == [3 * 8 + 5]
+        with pytest.raises(WorkloadError):
+            layout.cells([layout.field_address(TUPLES - 1, 7) + 8])
 
 
 class TestAttachValidation:

@@ -6,8 +6,11 @@ verification flag, ``result.to_dict()`` (cycles and engine events
 included) and the per-component counter dicts. The timed machine is
 deterministic, so the comparison is exact, text for text: a host-speed
 change to the cache hierarchy, controller or core must leave these
-files byte-identical. Regenerate with ``python tools/gen_goldens.py``
-only when an intentional model change lands.
+files byte-identical. ``eventmode_sweep.json`` pins the abl-6 strided
+scans (with their value digests and row profiles) and the partial-gather
+analytics scans of the shuffle-stage sweep the same way. Regenerate with
+``python tools/gen_goldens.py`` only when an intentional model change
+lands.
 """
 
 import importlib.util
@@ -31,13 +34,22 @@ def _tool():
 gen_goldens = _tool()
 
 
-@pytest.mark.parametrize("figure", gen_goldens.EVENT_FIGURES)
-def test_event_mode_runs_match_golden(figure):
-    path = RESULTS / f"eventmode_{figure}.json"
-    fresh = gen_goldens.render(gen_goldens.event_records(figure))
+def _assert_matches(path, payload):
+    fresh = gen_goldens.render(payload)
     golden = path.read_text()
     assert fresh == golden, "\n".join(
         f"{old!r} -> {new!r}"
         for old, new in zip(golden.splitlines(), fresh.splitlines())
         if old != new
     )
+
+
+@pytest.mark.parametrize("figure", gen_goldens.EVENT_FIGURES)
+def test_event_mode_runs_match_golden(figure):
+    _assert_matches(RESULTS / f"eventmode_{figure}.json",
+                    gen_goldens.event_records(figure))
+
+
+def test_event_mode_sweep_matches_golden():
+    _assert_matches(RESULTS / "eventmode_sweep.json",
+                    gen_goldens.sweep_records())

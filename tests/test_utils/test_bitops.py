@@ -81,6 +81,9 @@ class TestReverseBits:
     def test_known(self):
         assert bitops.reverse_bits(0b001, 3) == 0b100
 
+    def test_zero_width_is_zero(self):
+        assert bitops.reverse_bits(0b101, 0) == 0
+
     @given(
         value=st.integers(min_value=0, max_value=255),
         width=st.integers(min_value=8, max_value=12),

@@ -11,41 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.ctl import ColumnTranslationLogic
-from repro.core.pattern import gather_spec
-from repro.core.shuffle import shuffle, shuffle_key, shuffle_stagewise
-from repro.utils import bitops
 from repro.vec import kernels
 
 pytestmark = pytest.mark.fuzz
-
-
-def legacy_reverse_bits(value: int, width: int) -> int:
-    """The original per-bit loop, kept inline as the pinned reference."""
-    result = 0
-    for i in range(width):
-        if value >> i & 1:
-            result |= 1 << (width - 1 - i)
-    return result
-
-
-@given(
-    seed=st.integers(min_value=0, max_value=2**31),
-    stages=st.integers(min_value=0, max_value=3),
-    n=st.integers(min_value=1, max_value=32),
-)
-@settings(max_examples=200, deadline=None)
-def test_shuffle_lines_vs_closed_form_and_butterfly(seed, stages, n):
-    rng = np.random.default_rng(seed)
-    chips = 8
-    values = rng.integers(0, 1 << 40, size=(n, chips), dtype=np.int64)
-    columns = rng.integers(0, 128, size=n, dtype=np.int64)
-    shuffled = kernels.shuffle_lines(values, columns, stages)
-    for i in range(n):
-        row = values[i].tolist()
-        column = int(columns[i])
-        closed = shuffle(row, column, stages)
-        stagewise = shuffle_stagewise(row, shuffle_key(column, stages), stages)
-        assert shuffled[i].tolist() == closed == stagewise
 
 
 @given(
@@ -67,46 +35,3 @@ def test_ctl_translate_vs_scalar(pattern, column, pattern_bits):
         pattern_bits=pattern_bits,
     )
     assert batch.tolist() == [ctl.translate(column, pattern) for ctl in ctls]
-
-
-@given(
-    pattern=st.integers(min_value=0, max_value=7),
-    column=st.integers(min_value=0, max_value=127),
-)
-@settings(max_examples=300, deadline=None)
-def test_gather_indices_vs_figure7_spec(pattern, column):
-    chips = 8
-    chip_columns, value_indices = kernels.gathered_value_indices(
-        chips, np.asarray([pattern]), np.asarray([column])
-    )
-    row_indices = sorted(
-        int(chip_columns[0, j]) * chips + int(value_indices[0, j])
-        for j in range(chips)
-    )
-    assert tuple(row_indices) == gather_spec(chips, pattern, column).indices
-
-
-@given(
-    value=st.integers(min_value=0, max_value=(1 << 48) - 1),
-    width=st.integers(min_value=1, max_value=48),
-)
-@settings(max_examples=500, deadline=None)
-def test_reverse_bits_three_ways(value, width):
-    value &= bitops.mask(width)
-    expected = legacy_reverse_bits(value, width)
-    assert bitops.reverse_bits(value, width) == expected
-    assert int(kernels.reverse_bits_array([value], width)[0]) == expected
-
-
-@given(
-    seed=st.integers(min_value=0, max_value=2**31),
-    width=st.integers(min_value=1, max_value=12),
-)
-@settings(max_examples=100, deadline=None)
-def test_xor_fold_array_vs_scalar(seed, width):
-    rng = np.random.default_rng(seed)
-    values = rng.integers(0, 1 << 40, size=32, dtype=np.int64)
-    folded = kernels.xor_fold_array(values, width)
-    assert folded.tolist() == [
-        bitops.xor_fold(int(v), width) for v in values
-    ]

@@ -10,69 +10,11 @@ import pytest
 
 from repro.check.oracle import MemoryOracle
 from repro.core.ctl import ColumnTranslationLogic
-from repro.core.pattern import gathered_values
-from repro.core.shuffle import shuffle, shuffle_key, shuffle_stagewise
 from repro.dram.address import AddressMapping, Geometry, MappingPolicy
-from repro.errors import AddressError, ConfigError, PatternError
+from repro.errors import AddressError, PatternError
+from repro.sim.config import table1_config
 from repro.utils import bitops
 from repro.vec import kernels
-
-
-class TestShuffleKernels:
-    def test_keys_match_scalar(self):
-        columns = np.arange(128)
-        for stages in range(4):
-            keys = kernels.shuffle_keys(columns, stages)
-            assert keys.tolist() == [
-                shuffle_key(int(c), stages) for c in columns
-            ]
-
-    def test_negative_stages_rejected(self):
-        with pytest.raises(ConfigError):
-            kernels.shuffle_keys([0, 1], -1)
-
-    @pytest.mark.parametrize("chips,stages", [(8, 3), (8, 2), (4, 2), (2, 1)])
-    def test_lines_match_closed_form(self, chips, stages):
-        rng = np.random.default_rng(7)
-        values = rng.integers(0, 1 << 30, size=(64, chips), dtype=np.int64)
-        columns = rng.integers(0, 128, size=64, dtype=np.int64)
-        shuffled = kernels.shuffle_lines(values, columns, stages)
-        for i in range(values.shape[0]):
-            assert shuffled[i].tolist() == shuffle(
-                values[i].tolist(), int(columns[i]), stages
-            )
-
-    def test_lines_match_stagewise_butterfly(self):
-        # The stage-by-stage hardware datapath must agree with the batch
-        # closed form, not just the scalar closed form.
-        rng = np.random.default_rng(11)
-        values = rng.integers(0, 1 << 30, size=(32, 8), dtype=np.int64)
-        columns = rng.integers(0, 128, size=32, dtype=np.int64)
-        shuffled = kernels.shuffle_lines(values, columns, 3)
-        for i in range(values.shape[0]):
-            control = shuffle_key(int(columns[i]), 3)
-            assert shuffled[i].tolist() == shuffle_stagewise(
-                values[i].tolist(), control, 3
-            )
-
-    def test_unshuffle_is_inverse(self):
-        rng = np.random.default_rng(3)
-        values = rng.integers(0, 1 << 30, size=(16, 8), dtype=np.int64)
-        columns = rng.integers(0, 128, size=16, dtype=np.int64)
-        round_trip = kernels.unshuffle_lines(
-            kernels.shuffle_lines(values, columns, 3), columns, 3
-        )
-        assert np.array_equal(round_trip, values)
-
-    def test_shape_validation(self):
-        with pytest.raises(ConfigError):
-            kernels.shuffle_lines(np.zeros(8), np.zeros(8), 3)
-        with pytest.raises(ConfigError):
-            kernels.shuffle_lines(np.zeros((4, 8)), np.zeros(3), 3)
-
-    def test_too_many_stages_rejected(self):
-        with pytest.raises(ConfigError):
-            kernels.shuffle_lines(np.zeros((1, 4)), np.asarray([7]), 3)
 
 
 class TestCTLKernels:
@@ -138,31 +80,6 @@ class TestCTLKernels:
                 [0], [0], [128], num_chips=8, pattern_bits=3,
                 columns_per_row=128,
             )
-
-    def test_gathered_value_indices_match_scalar(self):
-        chips = 8
-        patterns = np.arange(8).repeat(16)
-        columns = np.tile(np.arange(16), 8)
-        chip_columns, value_indices = kernels.gathered_value_indices(
-            chips, patterns, columns
-        )
-        for i in range(patterns.shape[0]):
-            expected = gathered_values(chips, int(patterns[i]), int(columns[i]))
-            assert [
-                (j, int(chip_columns[i, j]), int(value_indices[i, j]))
-                for j in range(chips)
-            ] == expected
-
-    def test_gathered_value_indices_partial_shuffle(self):
-        chips = 8
-        chip_columns, value_indices = kernels.gathered_value_indices(
-            chips, np.asarray([3]), np.asarray([5]), shuffle_mask=0b01
-        )
-        expected = gathered_values(chips, 3, 5, shuffle_mask=0b01)
-        assert [
-            (j, int(chip_columns[0, j]), int(value_indices[0, j]))
-            for j in range(chips)
-        ] == expected
 
 
 GEOMETRIES = [
@@ -294,30 +211,17 @@ class TestGatherAddressesBatch:
             )
 
 
-class TestBitKernels:
-    def test_reverse_bits_matches_scalar(self):
-        rng = np.random.default_rng(23)
-        for width in (1, 3, 8, 12, 20):
-            values = rng.integers(0, 1 << width, size=64, dtype=np.int64)
-            reversed_ = kernels.reverse_bits_array(values, width)
-            assert reversed_.tolist() == [
-                bitops.reverse_bits(int(v), width) for v in values
-            ]
-
-    def test_reverse_bits_zero_width(self):
-        assert kernels.reverse_bits_array([5, 9], 0).tolist() == [0, 0]
-
-    def test_xor_fold_matches_scalar(self):
-        rng = np.random.default_rng(29)
-        values = rng.integers(0, 1 << 24, size=64, dtype=np.int64)
-        for width in (1, 3, 4, 8):
-            folded = kernels.xor_fold_array(values, width)
-            assert folded.tolist() == [
-                bitops.xor_fold(int(v), width) for v in values
-            ]
-
-    def test_xor_fold_validation(self):
-        with pytest.raises(AddressError):
-            kernels.xor_fold_array([1], 0)
-        with pytest.raises(AddressError):
-            kernels.xor_fold_array([-1], 3)
+class TestLoadedAddresses:
+    def test_pattern0_reads_itself_pattload_reads_its_slot(self):
+        config = table1_config()
+        oracle = MemoryOracle.from_config(config)
+        accesses = [(0, 0, 0), (3 * 64, 7, 5), (3 * 64, 7, 6),
+                    (70 * 64, 3, 1), (8192 + 9 * 64, 1, 2)]
+        addresses = [line + position * 8 for line, _, position in accesses]
+        patterns = [pattern for _, pattern, _ in accesses]
+        loaded = kernels.loaded_addresses(addresses, patterns, config)
+        assert loaded.tolist() == [
+            oracle.gather_addresses(line, pattern)[position] if pattern
+            else line + position * 8
+            for line, pattern, position in accesses
+        ]

@@ -2,7 +2,7 @@
 
 Usage: PYTHONPATH=src python tools/gen_goldens.py
 
-Writes two families of files under ``benchmarks/results``:
+Writes three families of files under ``benchmarks/results``:
 
 - ``fastmode_<figure>.json``: the first RunSpec of each figure's fast
   spec set at the quick scale, executed on the vectorized engine,
@@ -12,6 +12,10 @@ Writes two families of files under ``benchmarks/results``:
   event machine. Each record holds ``verified``, ``answer``,
   ``result.to_dict()`` and ``component_stats``, so the cycle counts,
   engine events and every component counter are pinned exactly.
+- ``eventmode_sweep.json``: the six abl-6 strided-scan points
+  (``run_patternscan`` at 256 lines) and the three partial-gather
+  analytics runs of the shuffle-stage sweep, on the event machine.
+  Scan records add ``values_digest`` and ``row_profile``.
 
 Both machines are deterministic, so these files are byte-stable;
 regenerate them only when an intentional model or accounting change
@@ -26,14 +30,19 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
+from repro.db.workload import AnalyticsQuery
 from repro.harness.common import QUICK
+from repro.harness.patternscan import SWEEP_STRIDES, VARIANTS, run_patternscan
 from repro.harness.specsets import FAST_FIGURES, figure_specs, spec_label
-from repro.perf.specs import execute_spec
+from repro.perf.specs import RunSpec, execute_spec
 
 RESULTS = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "results"
 
 #: The event spec sets pinned by ``eventmode_<figure>.json``.
 EVENT_FIGURES = ("fig9", "fig10", "fig11", "pim")
+
+#: Lines per strided scan in ``eventmode_sweep.json``.
+SWEEP_LINES = 256
 
 
 def golden_record(figure: str) -> dict:
@@ -63,6 +72,44 @@ def event_records(figure: str) -> dict:
     return {"figure": figure, "scale": QUICK.name, "runs": runs}
 
 
+def sweep_records() -> dict:
+    """The strided scans and the partial-gather analytics scans."""
+    scans = []
+    for stride in SWEEP_STRIDES:
+        for variant in VARIANTS:
+            run = run_patternscan(variant, stride, lines=SWEEP_LINES)
+            scans.append({
+                "variant": variant,
+                "stride": stride,
+                "verified": bool(run.verified),
+                "answer": run.answer,
+                "result": run.result.to_dict(),
+                "component_stats": run.component_stats,
+                "values_digest": run.values_digest,
+                "row_profile": run.row_profile,
+            })
+    partial = []
+    for stages in (1, 2, 3):
+        # The specs ``sweep_shuffle_stages`` builds for its default table.
+        spec = RunSpec(
+            kind="analytics",
+            layout=f"partial-gather-{(1 << stages) - 1}",
+            params={"query": AnalyticsQuery((0,)),
+                    "num_tuples": QUICK.db_tuples},
+            config_overrides={"shuffle_stages": stages},
+        )
+        record = execute_spec(spec)
+        partial.append({
+            "spec": spec_label(spec),
+            "verified": bool(record.verified),
+            "answer": record.answer,
+            "result": record.result.to_dict(),
+            "component_stats": record.component_stats,
+        })
+    return {"lines": SWEEP_LINES, "scale": QUICK.name,
+            "patternscan": scans, "partial_gather": partial}
+
+
 def render(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -76,6 +123,9 @@ def main() -> None:
         path = RESULTS / f"eventmode_{figure}.json"
         path.write_text(render(event_records(figure)))
         print(f"wrote {path}")
+    path = RESULTS / "eventmode_sweep.json"
+    path.write_text(render(sweep_records()))
+    print(f"wrote {path}")
 
 
 if __name__ == "__main__":

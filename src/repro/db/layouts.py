@@ -365,7 +365,7 @@ class PartialGatherStore(GSDRAMStore):
 
     def __init__(self, pattern: int) -> None:
         super().__init__()
-        self._scan_pattern = self.pattern = pattern
+        self.pattern = pattern
 
     def scan_stream(self, query: AnalyticsQuery) -> AccessStream:
         """Per window of ``pattern + 1`` tuples, the positions of one

@@ -91,6 +91,8 @@ def xor_fold(value: int, width: int) -> int:
     """
     if width <= 0:
         raise AddressError(f"xor_fold width must be positive, got {width}")
+    if value < 0:
+        raise AddressError(f"xor_fold of negative value: {value}")
     folded = 0
     while value:
         folded ^= value & mask(width)

@@ -14,15 +14,24 @@ reproducing the exact statistic accounting of
 :class:`repro.cache.hierarchy.CacheHierarchy` and
 :class:`repro.mem.controller.MemoryController`:
 
-- cache lines are ``(line_address, pattern)``-keyed entries holding an
-  LRU stamp, a dirty bit, and the writeback shuffle annotation;
-- victims are min-stamp within the (pattern-independent) set;
+- a cache line is one int key, ``line_address | pattern``: line
+  addresses are line-aligned and patterns lie below the line size, so
+  the pattern fits in the offset bits, and int keys sort exactly like
+  ``(line_address, pattern)`` pairs;
+- each (pattern-independent) set is a dict in recency order, least
+  recently used first, mapping a key to ``[dirty, shuffle
+  annotation]``; a hit pops the key and reinserts it, and the victim
+  is the set's first key;
 - stores mark the DBI, drop the stale L2 copy, and evict overlapping
   other-pattern lines (Section 4.1), writing dirty ones back;
 - fetches flush dirty overlaps via one DBI overlap query first;
 - the controller replays per-bank open-row state in submission order,
   which for one blocking core *is* the event controller's service
   order.
+
+An access with the same key as the access just before it is an L1 hit
+on the most recently used line, so it skips the set lookup; a store
+among such repeats still takes the full store path.
 
 Functional values are computed separately (numpy) by the callers:
 :mod:`repro.vec.db`, :mod:`repro.vec.gemm` and the fig7 sweep in
@@ -34,8 +43,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.energy.model import system_energy
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ProtocolError
 from repro.obs.session import current_session
 from repro.sim.config import Mechanism, SystemConfig
 from repro.sim.results import RunResult
@@ -124,13 +135,20 @@ class DirtyReplay:
         self.geometry = geometry
         line_bytes = geometry.line_bytes
         self._offset_bits = line_bytes.bit_length() - 1
-        self._column_bits = geometry.columns_per_row.bit_length() - 1
-        self._bank_bits = geometry.banks.bit_length() - 1
-        self._column_mask = geometry.columns_per_row - 1
+        self._pattern_mask = line_bytes - 1
+        column_bits = geometry.columns_per_row.bit_length() - 1
+        bank_bits = geometry.banks.bit_length() - 1
         self._bank_mask = geometry.banks - 1
-        self._row_bank_column = (
-            config.mapping_policy.value == "row-bank-column"
-        )
+        # Address bits, low to high: offset, then column and bank in
+        # the mapping's order, then row. A line key's bank is
+        # (key >> _bank_shift) & _bank_mask and its row key >> _row_shift.
+        if config.mapping_policy.value == "row-bank-column":
+            self._column_shift = self._offset_bits
+            self._bank_shift = self._offset_bits + column_bits
+        else:
+            self._bank_shift = self._offset_bits
+            self._column_shift = self._offset_bits + bank_bits
+        self._row_shift = self._offset_bits + column_bits + bank_bits
         self._chips = geometry.chips
         self._supports_patterns = config.mechanism is Mechanism.GS_DRAM
 
@@ -141,18 +159,16 @@ class DirtyReplay:
         self._l2_assoc = config.l2_assoc
         self._l1_mask = sets_of(config.l1_size, config.l1_assoc) - 1
         self._l2_mask = sets_of(config.l2_size, config.l2_assoc) - 1
-        #: set index -> {(line_address, pattern): [stamp, dirty, ann]}
+        #: set index -> {line key: [dirty, shuffle annotation]}, least
+        #: recently used first
         self._l1_sets: list[dict] = [{} for _ in range(self._l1_mask + 1)]
         self._l2_sets: list[dict] = [{} for _ in range(self._l2_mask + 1)]
-        self._l1_tick = 0
-        self._l2_tick = 0
-        #: (bank, row) -> set of dirty (line_address, pattern) keys
-        self._dbi: dict[tuple[int, int], set] = {}
+        #: (bank, row) -> set of dirty line keys
+        self._dbi: dict[tuple[int, int], set[int]] = {}
         self._open_rows: list[int | None] = [None] * geometry.banks
-        self._coords: dict[int, tuple[int, int, int]] = {}
         self._overlaps: dict[tuple[int, int, int], tuple] = {}
-        #: bank -> [serviced, row_hits, row_misses, activates, precharges]
-        self._bank_counts: dict[int, list[int]] = {}
+        #: per bank: [serviced, row_hits, row_misses, activates, precharges]
+        self._bank_counts = [[0] * 5 for _ in range(geometry.banks)]
         self.counts = {
             "l1_hits": 0, "l1_misses": 0, "l1_fills": 0, "l1_evictions": 0,
             "l1_dirty_evictions": 0, "l1_invalidations": 0,
@@ -167,32 +183,6 @@ class DirtyReplay:
         }
 
     # ------------------------------------------------------------------
-    def coords(self, line_address: int) -> tuple[int, int, int]:
-        """(bank, row, column) of a line address, memoized."""
-        got = self._coords.get(line_address)
-        if got is None:
-            line = line_address >> self._offset_bits
-            if self._row_bank_column:
-                column = line & self._column_mask
-                line >>= self._column_bits
-                bank = line & self._bank_mask
-                row = line >> self._bank_bits
-            else:
-                bank = line & self._bank_mask
-                line >>= self._bank_bits
-                column = line & self._column_mask
-                row = line >> self._column_bits
-            got = (bank, row, column)
-            self._coords[line_address] = got
-        return got
-
-    def _encode(self, bank: int, row: int, column: int) -> int:
-        if self._row_bank_column:
-            line = ((row << self._bank_bits) | bank) << self._column_bits | column
-        else:
-            line = ((row << self._column_bits) | column) << self._bank_bits | bank
-        return line << self._offset_bits
-
     def _overlap_keys(self, line_address: int, pattern: int, alt: int):
         """Other-pattern line keys sharing data with this line (cached).
 
@@ -208,31 +198,61 @@ class DirtyReplay:
             if nonzero == 0 or not self._supports_patterns:
                 got = ((), frozenset())
             else:
-                bank, row, column = self.coords(line_address)
-                columns = {
-                    (chip & nonzero) ^ (column & self._column_mask)
+                # Chip c's slice of the line sits at column
+                # column ^ (c & nonzero) of the same bank and row.
+                shift = self._column_shift
+                keys = tuple(sorted({
+                    (line_address ^ ((chip & nonzero) << shift)) | other
                     for chip in range(self._chips)
-                }
-                keys = tuple(
-                    (self._encode(bank, row, c), other) for c in sorted(columns)
-                )
+                }))
                 got = (keys, frozenset(keys))
             self._overlaps[memo_key] = got
         return got
+
+    def _check_batch(self, line_addresses, patterns, *others) -> None:
+        """Reject a ragged batch, what the controller rejects, and what a
+        line key cannot hold."""
+        shapes = {array.shape for array in (line_addresses, patterns, *others)}
+        if len(shapes) > 1:
+            raise ValueError(f"access arrays differ in shape: {sorted(shapes)}")
+        line_bytes = self.geometry.line_bytes
+        bad = (patterns < 0) | (patterns >= line_bytes)
+        if bad.any():
+            index = int(bad.argmax())
+            raise ProtocolError(
+                f"pattern must lie in [0, {line_bytes})",
+                index=index, pattern=int(patterns[index]),
+            )
+        unaligned = (line_addresses & self._pattern_mask) != 0
+        if unaligned.any():
+            index = int(unaligned.argmax())
+            raise ProtocolError(
+                "line address is not line-aligned",
+                index=index, address=int(line_addresses[index]),
+            )
 
     # ------------------------------------------------------------------
     def run(self, line_addresses, patterns, alt_patterns, writes, shuffled) -> None:
         """Replay one batch of accesses (appends to the running state).
 
-        All five arguments are equal-length sequences; ``shuffled`` is
-        the page-table shuffle flag per access. numpy arrays are
-        accepted (converted to plain lists for the hot loop).
+        All five arguments are equal-length sequences or numpy arrays;
+        ``shuffled`` is the page-table shuffle flag per access. Before
+        replaying anything, raises ``ValueError`` if the lengths differ
+        and :class:`ProtocolError` for a negative pattern, a pattern of
+        ``line_bytes`` or more, or a line address that is not
+        line-aligned.
         """
-        ls = _as_list(line_addresses)
-        ps = _as_list(patterns)
-        alts = _as_list(alt_patterns)
-        ws = _as_list(writes)
-        shs = _as_list(shuffled)
+        lines = np.asarray(line_addresses, dtype=np.int64)
+        pattern_array = np.asarray(patterns, dtype=np.int64)
+        alt_array = np.asarray(alt_patterns, dtype=np.int64)
+        write_array = np.asarray(writes, dtype=bool)
+        shuffle_array = np.asarray(shuffled, dtype=bool)
+        self._check_batch(lines, pattern_array, alt_array, write_array,
+                          shuffle_array)
+        keys = (lines | pattern_array).tolist()
+        stores = write_array.tolist()
+        alts = alt_array.tolist()
+        shs = shuffle_array.tolist()
 
         c = self.counts
         l1_hits = c["l1_hits"]; l1_misses = c["l1_misses"]
@@ -253,21 +273,22 @@ class DirtyReplay:
 
         l1_sets = self._l1_sets
         l2_sets = self._l2_sets
-        l1_tick = self._l1_tick
-        l2_tick = self._l2_tick
         l1_mask = self._l1_mask
         l2_mask = self._l2_mask
         l1_assoc = self._l1_assoc
         l2_assoc = self._l2_assoc
         offset_bits = self._offset_bits
+        pattern_mask = self._pattern_mask
         dbi = self._dbi
         open_rows = self._open_rows
         bank_counts = self._bank_counts
-        coords = self.coords
+        bank_shift = self._bank_shift
+        bank_mask = self._bank_mask
+        row_shift = self._row_shift
         overlap_keys = self._overlap_keys
         supports = self._supports_patterns
 
-        def submit(line_address, pattern, is_write):
+        def submit(bank, row, pattern, is_write):
             # The controller at submit time: request stats, then the
             # bank's open-row state machine, then the column command.
             nonlocal requests, req_read, req_write, req_patt
@@ -279,10 +300,7 @@ class DirtyReplay:
                 req_read += 1
             if pattern:
                 req_patt += 1
-            bank, row, _ = coords(line_address)
-            per_bank = bank_counts.get(bank)
-            if per_bank is None:
-                per_bank = bank_counts[bank] = [0, 0, 0, 0, 0]
+            per_bank = bank_counts[bank]
             per_bank[0] += 1
             if open_rows[bank] == row:
                 row_hits += 1
@@ -301,188 +319,138 @@ class DirtyReplay:
             else:
                 cmd_rd += 1
 
-        def writeback(line_address, pattern):
+        def writeback(key):
             # CacheHierarchy._writeback minus the functional write:
             # DBI mark_clean, writebacks stat, timed WRITE request.
             nonlocal dbi_cleans, writebacks
-            bank, row, _ = coords(line_address)
+            bank = (key >> bank_shift) & bank_mask
+            row = key >> row_shift
             entries = dbi.get((bank, row))
             if entries is not None:
-                entries.discard((line_address, pattern))
+                entries.discard(key)
                 if not entries:
                     del dbi[(bank, row)]
                 dbi_cleans += 1
             writebacks += 1
-            submit(line_address, pattern, True)
+            submit(bank, row, key & pattern_mask, True)
 
-        def evict_everywhere(line_address, pattern):
+        def evict_everywhere(key):
             # L2 before L1, writing dirty copies back (the single-core
             # form of CacheHierarchy._evict_everywhere).
             nonlocal l1_inval, l2_inval, coh_inval, coh_flushes
-            key = (line_address, pattern)
             flushed = False
-            entry = l2_sets[(line_address >> offset_bits) & l2_mask].pop(key, None)
+            entry = l2_sets[(key >> offset_bits) & l2_mask].pop(key, None)
             if entry is not None:
                 l2_inval += 1
                 coh_inval += 1
-                if entry[1]:
-                    writeback(line_address, pattern)
+                if entry[0]:
+                    writeback(key)
                     flushed = True
-            entry = l1_sets[(line_address >> offset_bits) & l1_mask].pop(key, None)
+            entry = l1_sets[(key >> offset_bits) & l1_mask].pop(key, None)
             if entry is not None:
                 l1_inval += 1
                 coh_inval += 1
-                if entry[1]:
-                    writeback(line_address, pattern)
+                if entry[0]:
+                    writeback(key)
                     flushed = True
             if flushed:
                 coh_flushes += 1
 
-        def apply_store(entry, line_address, pattern, alt, shuffled_flag):
+        def store(entry, key, alt, shuffled_flag):
+            # A store into an L1 line: DBI mark, stale L2 copy
+            # dropped (a dirty L1 line must not coexist with one), then
+            # the overlapping other-pattern lines evicted.
             nonlocal dbi_marks, l2_inval
-            was_dirty = entry[1]
-            entry[1] = True
-            entry[2] = shuffled_flag
-            if not was_dirty:
-                bank, row, _ = coords(line_address)
-                row_set = dbi.get((bank, row))
+            if not entry[0]:
+                entry[0] = True
+                row_key = ((key >> bank_shift) & bank_mask, key >> row_shift)
+                row_set = dbi.get(row_key)
                 if row_set is None:
-                    row_set = dbi[(bank, row)] = set()
-                row_set.add((line_address, pattern))
+                    row_set = dbi[row_key] = set()
+                row_set.add(key)
                 dbi_marks += 1
-            # A dirty L1 line must not coexist with an L2 copy.
-            stale = l2_sets[(line_address >> offset_bits) & l2_mask].pop(
-                (line_address, pattern), None
-            )
-            if stale is not None:
+            entry[1] = shuffled_flag
+            if l2_sets[(key >> offset_bits) & l2_mask].pop(key, None) is not None:
                 l2_inval += 1
-            if supports:
-                keys, _ = overlap_keys(line_address, pattern, alt)
-                for other_address, other_pattern in keys:
-                    evict_everywhere(other_address, other_pattern)
+            pattern = key & pattern_mask
+            if supports and (pattern or alt):
+                for other in overlap_keys(key ^ pattern, pattern, alt)[0]:
+                    evict_everywhere(other)
 
-        def fill_l2(line_address, pattern, dirty):
-            # Cache.fill on L2: in-place replace, or min-stamp eviction
-            # + insert. Returns (entry, victim_key, victim_entry).
-            nonlocal l2_tick, l2_fills, l2_evictions, l2_dirty_ev
-            target = l2_sets[(line_address >> offset_bits) & l2_mask]
-            key = (line_address, pattern)
-            existing = target.get(key)
-            if existing is not None:
-                existing[1] = existing[1] or dirty
-                l2_tick += 1
-                existing[0] = l2_tick
-                return existing, None, None
-            victim_key = victim_entry = None
+        def fill_l2(key, dirty, annotation):
+            # Cache.fill on L2 for a line it does not hold (a fetch, or
+            # a dirty L1 victim, which has no L2 copy): evict the least
+            # recently used line, writing it back if dirty, and insert.
+            nonlocal l2_fills, l2_evictions, l2_dirty_ev
+            target = l2_sets[(key >> offset_bits) & l2_mask]
             if len(target) >= l2_assoc:
-                victim_key = min(target, key=lambda k: target[k][0])
-                victim_entry = target.pop(victim_key)
+                victim_key = next(iter(target))
+                victim = target.pop(victim_key)
                 l2_evictions += 1
-                if victim_entry[1]:
+                if victim[0]:
                     l2_dirty_ev += 1
-            l2_tick += 1
-            entry = [l2_tick, dirty, None]
-            target[key] = entry
+                    writeback(victim_key)
+            target[key] = [dirty, annotation]
             l2_fills += 1
-            return entry, victim_key, victim_entry
 
-        def fill_l1(line_address, pattern):
-            # Demand fills insert clean lines; a dirty victim demotes to
-            # L2 (CacheHierarchy._demote_dirty), whose own victim may
-            # write back.
-            nonlocal l1_tick, l1_fills, l1_evictions, l1_dirty_ev
-            target = l1_sets[(line_address >> offset_bits) & l1_mask]
-            key = (line_address, pattern)
-            existing = target.get(key)
-            if existing is not None:
-                l1_tick += 1
-                existing[0] = l1_tick
-                return existing
-            if len(target) >= l1_assoc:
-                victim_key = min(target, key=lambda k: target[k][0])
-                victim_entry = target.pop(victim_key)
-                l1_evictions += 1
-                if victim_entry[1]:
-                    l1_dirty_ev += 1
-                    l2_entry, l2_victim_key, l2_victim = fill_l2(
-                        victim_key[0], victim_key[1], True
-                    )
-                    ann = victim_entry[2]
-                    l2_entry[2] = ann if ann is not None else supports
-                    if l2_victim is not None and l2_victim[1]:
-                        writeback(l2_victim_key[0], l2_victim_key[1])
-            l1_tick += 1
-            entry = [l1_tick, False, None]
-            target[key] = entry
-            l1_fills += 1
-            return entry
-
-        for i in range(len(ls)):
-            line_address = ls[i]
-            pattern = ps[i]
-            key = (line_address, pattern)
-            is_write = ws[i]
-
-            l1_set = l1_sets[(line_address >> offset_bits) & l1_mask]
-            entry = l1_set.get(key)
-            if entry is not None:
-                l1_tick += 1
-                entry[0] = l1_tick
+        prev_key = None
+        entry = None  # the L1 entry of prev_key
+        for key, is_write, alt, shuffled_flag in zip(keys, stores, alts, shs):
+            if key == prev_key:
+                # A repeat of the previous key: an L1 hit on the most
+                # recently used line.
                 l1_hits += 1
-                if is_write:
-                    apply_store(entry, line_address, pattern, alts[i], shs[i])
-                continue
-            l1_misses += 1
-
-            l2_set = l2_sets[(line_address >> offset_bits) & l2_mask]
-            entry = l2_set.get(key)
-            if entry is not None:
-                l2_tick += 1
-                entry[0] = l2_tick
-                l2_hits += 1
-                new_entry = fill_l1(line_address, pattern)
-                if is_write:
-                    stale = l2_set.pop(key, None)
-                    if stale is not None:
-                        l2_inval += 1
-                    apply_store(new_entry, line_address, pattern, alts[i], shs[i])
-                continue
-            l2_misses += 1
-
-            # Miss path: flush dirty overlaps, fetch, fill L2 then L1,
-            # then land the store (CacheHierarchy._start_fetch +
-            # _fill_complete for one synchronous demand waiter).
-            alt = alts[i]
-            shuffled_flag = shs[i]
-            if supports:
-                keys, key_set = overlap_keys(line_address, pattern, alt)
-                if keys:
-                    bank, row, _ = coords(line_address)
-                    dbi_queries += 1
-                    entries = dbi.get((bank, row))
-                    if entries:
-                        dirty = entries & key_set
-                        for other_address, other_pattern in sorted(dirty):
-                            pf_flushes += 1
-                            evict_everywhere(other_address, other_pattern)
-            submit(line_address, pattern, False)
-            l2_entry, l2_victim_key, l2_victim = fill_l2(
-                line_address, pattern, False
-            )
-            l2_entry[2] = shuffled_flag
-            if l2_victim is not None and l2_victim[1]:
-                writeback(l2_victim_key[0], l2_victim_key[1])
-            new_entry = fill_l1(line_address, pattern)
+            else:
+                prev_key = key
+                l1_set = l1_sets[(key >> offset_bits) & l1_mask]
+                entry = l1_set.pop(key, None)
+                if entry is not None:
+                    l1_hits += 1
+                else:
+                    l1_misses += 1
+                    l2_set = l2_sets[(key >> offset_bits) & l2_mask]
+                    l2_entry = l2_set.pop(key, None)
+                    if l2_entry is not None:
+                        l2_set[key] = l2_entry
+                        l2_hits += 1
+                    else:
+                        # Flush dirty overlaps, fetch, fill L2
+                        # (CacheHierarchy._start_fetch + _fill_complete
+                        # for one synchronous demand waiter).
+                        l2_misses += 1
+                        pattern = key & pattern_mask
+                        bank = (key >> bank_shift) & bank_mask
+                        row = key >> row_shift
+                        if supports and (pattern or alt):
+                            overlaps, overlap_set = overlap_keys(
+                                key ^ pattern, pattern, alt
+                            )
+                            if overlaps:
+                                dbi_queries += 1
+                                dirty = dbi.get((bank, row))
+                                if dirty:
+                                    for other in sorted(dirty & overlap_set):
+                                        pf_flushes += 1
+                                        evict_everywhere(other)
+                        submit(bank, row, pattern, False)
+                        fill_l2(key, False, shuffled_flag)
+                    # Demand fills insert clean lines; a dirty victim
+                    # demotes to L2 (CacheHierarchy._demote_dirty).
+                    if len(l1_set) >= l1_assoc:
+                        victim_key = next(iter(l1_set))
+                        victim = l1_set.pop(victim_key)
+                        l1_evictions += 1
+                        if victim[0]:
+                            l1_dirty_ev += 1
+                            annotation = victim[1]
+                            fill_l2(victim_key, True, supports
+                                    if annotation is None else annotation)
+                    entry = [False, None]
+                    l1_fills += 1
+                l1_set[key] = entry
             if is_write:
-                stale = l2_sets[(line_address >> offset_bits) & l2_mask].pop(
-                    key, None
-                )
-                if stale is not None:
-                    l2_inval += 1
-                apply_store(new_entry, line_address, pattern, alt, shuffled_flag)
+                store(entry, key, alt, shuffled_flag)
 
-        self._l1_tick = l1_tick
-        self._l2_tick = l2_tick
         c["l1_hits"] = l1_hits; c["l1_misses"] = l1_misses
         c["l1_fills"] = l1_fills; c["l1_evictions"] = l1_evictions
         c["l1_dirty_evictions"] = l1_dirty_ev; c["l1_invalidations"] = l1_inval
@@ -564,9 +532,11 @@ class DirtyReplay:
             activates=c["cmd_ACT"],
             precharges=c["cmd_PRE"],
         )
-        for bank, (serviced, hits, misses, acts, pres) in sorted(
-            self._bank_counts.items()
+        for bank, (serviced, hits, misses, acts, pres) in enumerate(
+            self._bank_counts
         ):
+            if not serviced:
+                continue
             profile.per_bank[bank] = {
                 "reads": serviced,
                 "row_hits": hits,
@@ -660,12 +630,3 @@ class DirtyReplay:
             )
         )
 
-
-def _as_list(values) -> list:
-    """Plain-list view of a sequence (numpy arrays via ``tolist``)."""
-    if isinstance(values, list):
-        return values
-    tolist = getattr(values, "tolist", None)
-    if tolist is not None:
-        return tolist()
-    return list(values)

@@ -86,7 +86,7 @@ class TestMakeLayout:
 
     def test_partial_gather(self):
         store = make_layout("partial-gather-3")
-        assert store._scan_pattern == 3
+        assert store.pattern == 3
 
     def test_unknown_layout(self):
         with pytest.raises(ConfigError):

@@ -131,6 +131,10 @@ class TestXorFold:
         with pytest.raises(AddressError):
             bitops.xor_fold(5, 0)
 
+    def test_negative_value_rejected(self):
+        with pytest.raises(AddressError):
+            bitops.xor_fold(-1, 3)
+
     @given(value=st.integers(min_value=0, max_value=(1 << 24) - 1))
     def test_result_fits_width(self, value):
         assert 0 <= bitops.xor_fold(value, 4) < 16

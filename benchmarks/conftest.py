@@ -4,8 +4,8 @@ Each benchmark regenerates one of the paper's figures and registers its
 rendered table with :func:`report_figure`; a terminal-summary hook
 prints every table after the pytest-benchmark timing table, so
 ``pytest benchmarks/ --benchmark-only | tee bench_output.txt`` captures
-the reproduced figures alongside the timings. Tables are also written
-to ``benchmarks/results/`` for EXPERIMENTS.md.
+the reproduced figures alongside the timings. At the default scale the
+tables are also written to ``benchmarks/results/`` for EXPERIMENTS.md.
 
 Scale is selected with ``REPRO_SCALE`` (quick / default / full).
 """
@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import os
 import pathlib
+
+from repro.harness.common import DEFAULT, current_scale
 
 # pytest-benchmark timings must measure the simulator, not the result
 # cache: a cached rerun would report cache-hit latency as "the figure".
@@ -24,10 +26,15 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
 def report_figure(name: str, text: str) -> None:
-    """Register a rendered figure for the end-of-run summary."""
+    """Register a rendered figure for the end-of-run summary.
+
+    The committed tables record the default scale (EXPERIMENTS.md), so
+    only a default-scale run rewrites them; other scales only print.
+    """
     _FIGURES.append((name, text))
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+    if current_scale() is DEFAULT:
+        RESULTS_DIR.mkdir(exist_ok=True)
+        (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
 
 
 def pytest_terminal_summary(terminalreporter):

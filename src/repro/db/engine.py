@@ -35,7 +35,12 @@ from repro.db.workload import (
     make_rows_array,
 )
 from repro.errors import ConfigError, WorkloadError
-from repro.sim.config import SystemConfig, plain_dram_config, table1_config
+from repro.sim.config import (
+    SystemConfig,
+    plain_dram_config,
+    require_row_bank_column,
+    table1_config,
+)
 from repro.sim.results import RunResult, StageTimer
 from repro.sim.system import System
 from repro.vec.kernels import loaded_addresses
@@ -46,7 +51,10 @@ def layout_config(layout: StorageLayout, cores: int = 1,
                   prefetch: bool = False, **overrides) -> SystemConfig:
     """The machine configuration matched to the layout's substrate."""
     if isinstance(layout, GSDRAMStore):
-        return table1_config(cores=cores, prefetch=prefetch, **overrides)
+        return require_row_bank_column(
+            table1_config(cores=cores, prefetch=prefetch, **overrides),
+            f"the {layout.name} store",
+        )
     return plain_dram_config(cores=cores, prefetch=prefetch, **overrides)
 
 

@@ -10,7 +10,6 @@ from repro.gemm.autotune import (
     run_naive,
     run_tiled,
 )
-from repro.gemm.kernels import gs_ops, naive_ops, tiled_ops
 from repro.gemm.matrix import BLOCK, BlockedMatrix, DenseMatrix, random_matrix
 
 __all__ = [
@@ -22,11 +21,8 @@ __all__ = [
     "GemmRun",
     "best_gs",
     "best_tiled",
-    "gs_ops",
-    "naive_ops",
     "random_matrix",
     "run_gs",
     "run_naive",
     "run_tiled",
-    "tiled_ops",
 ]

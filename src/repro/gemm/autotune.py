@@ -12,11 +12,13 @@ n = 16..96). The capacity *ratios* that produce the paper's curve —
 B outgrowing L1, then L2 pressure — are preserved; this substitution
 is documented in DESIGN.md and EXPERIMENTS.md.
 
-Every driver takes ``mode``: ``"event"`` executes the kernel on the
-cycle-level :class:`System`; ``"fast"`` replays the closed-form address
-stream through the vectorized engine (:mod:`repro.vec.gemm`) — same
-cache/DRAM stats, ``cycles == 0``. The equivalence battery
-(``repro check``) holds the two paths stat-identical.
+Every driver takes ``mode``, and both modes run the kernel's one
+access stream (:meth:`~repro.gemm.kernels.Kernel.stream`):
+``"event"`` executes it on the cycle-level :class:`System` and checks
+the product it stored; ``"fast"`` replays it through the vectorized
+engine (:mod:`repro.vec.gemm`) — same cache/DRAM stats,
+``cycles == 0``. The equivalence battery (``repro check``) holds the
+two paths stat-identical.
 """
 
 from __future__ import annotations
@@ -26,9 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.gemm.kernels import gs_ops, naive_ops, tiled_ops
-from repro.gemm.matrix import BlockedMatrix, DenseMatrix, random_matrix
-from repro.sim.config import plain_dram_config, table1_config
+from repro.gemm.kernels import GS, NAIVE, TILED, Kernel
+from repro.gemm.matrix import random_matrix
+from repro.sim.config import (
+    SystemConfig,
+    plain_dram_config,
+    require_row_bank_column,
+    table1_config,
+)
 from repro.sim.results import RunResult, StageTimer
 from repro.sim.system import System
 from repro.vec.shim import component_snapshot
@@ -68,106 +75,60 @@ class GemmRun:
         return self.cycles or self.result.memory_accesses
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in ("event", "fast"):
+def gemm_config(kernel: Kernel, overrides: dict | None) -> SystemConfig:
+    """The machine a kernel runs on, in either mode."""
+    overrides = overrides or GEMM_CACHE_OVERRIDES
+    if kernel.gs:
+        return require_row_bank_column(table1_config(**overrides),
+                                       "GS-DRAM GEMM")
+    return plain_dram_config(**overrides)
+
+
+def _run(kernel: Kernel, n: int, tile: int | None, seed: int,
+         overrides: dict | None, mode: str) -> GemmRun:
+    """One kernel over a single tile of edge n when ``tile`` is None."""
+    if mode == "fast":
+        from repro.vec.gemm import fast_gemm
+
+        return fast_gemm(kernel, n, tile, seed, overrides)
+    if mode != "event":
         raise ConfigError(f"unknown run mode {mode!r}")
-
-
-def _verify(system: System, c: DenseMatrix, result: np.ndarray,
-            oracle: np.ndarray) -> bool:
-    return bool(np.array_equal(result, oracle) and np.array_equal(c.read(), oracle))
+    timer = StageTimer()
+    with timer.stage("generate"):
+        a_vals, b_vals = random_matrix(n, seed), random_matrix(n, seed + 1)
+    with timer.stage("setup"):
+        system = System(gemm_config(kernel, overrides))
+        a, b, c = kernel.matrices(system, n)
+        a.load(a_vals)
+        b.load(b_vals)
+    with timer.stage("run"):
+        stream = kernel.stream(a, b, c, tile or n)
+        run = system.run([kernel.ops(stream)])
+    # Snapshot before c.read(): it drains dirty lines and would perturb
+    # the writeback/DBI counters the battery compares.
+    stats = component_snapshot(system)
+    with timer.stage("verify"):
+        verified = bool(np.array_equal(c.read(), a_vals @ b_vals))
+    timer.attach(run)
+    return GemmRun(kernel.label, n, tile, run, verified, stats)
 
 
 def run_naive(n: int, seed: int = 3, overrides: dict | None = None,
               mode: str = "event") -> GemmRun:
     """Non-tiled scalar GEMM on commodity DRAM."""
-    _check_mode(mode)
-    if mode == "fast":
-        from repro.vec.gemm import fast_naive
-
-        return fast_naive(n, seed, overrides)
-    timer = StageTimer()
-    with timer.stage("generate"):
-        a_vals, b_vals = random_matrix(n, seed), random_matrix(n, seed + 1)
-    with timer.stage("setup"):
-        config = plain_dram_config(**(overrides or GEMM_CACHE_OVERRIDES))
-        system = System(config)
-        a = DenseMatrix(system, n)
-        b = DenseMatrix(system, n)
-        c = DenseMatrix(system, n)
-        a.load(a_vals)
-        b.load(b_vals)
-    result = np.zeros((n, n), dtype=np.int64)
-    with timer.stage("run"):
-        run = system.run([naive_ops(a, b, c, result)])
-    # Snapshot before _verify: c.read() drains dirty lines and would
-    # perturb the writeback/DBI counters the battery compares.
-    stats = component_snapshot(system)
-    with timer.stage("verify"):
-        oracle = a_vals @ b_vals
-        verified = _verify(system, c, result, oracle)
-    timer.attach(run)
-    return GemmRun("Non-tiled", n, None, run, verified, stats)
+    return _run(NAIVE, n, None, seed, overrides, mode)
 
 
 def run_tiled(n: int, tile: int, seed: int = 3,
               overrides: dict | None = None, mode: str = "event") -> GemmRun:
     """Tiled SIMD GEMM with software gathers, on commodity DRAM."""
-    _check_mode(mode)
-    if mode == "fast":
-        from repro.vec.gemm import fast_tiled
-
-        return fast_tiled(n, tile, seed, overrides)
-    timer = StageTimer()
-    with timer.stage("generate"):
-        a_vals, b_vals = random_matrix(n, seed), random_matrix(n, seed + 1)
-    with timer.stage("setup"):
-        config = plain_dram_config(**(overrides or GEMM_CACHE_OVERRIDES))
-        system = System(config)
-        a = DenseMatrix(system, n)
-        b = BlockedMatrix(system, n, gs=False)
-        c = DenseMatrix(system, n)
-        a.load(a_vals)
-        b.load(b_vals)
-    result = np.zeros((n, n), dtype=np.int64)
-    with timer.stage("run"):
-        run = system.run([tiled_ops(a, b, c, result, tile)])
-    stats = component_snapshot(system)
-    with timer.stage("verify"):
-        oracle = a_vals @ b_vals
-        verified = _verify(system, c, result, oracle)
-    timer.attach(run)
-    return GemmRun("Tiled", n, tile, run, verified, stats)
+    return _run(TILED, n, tile, seed, overrides, mode)
 
 
 def run_gs(n: int, tile: int, seed: int = 3,
            overrides: dict | None = None, mode: str = "event") -> GemmRun:
     """Tiled SIMD GEMM with GS-DRAM gathers."""
-    _check_mode(mode)
-    if mode == "fast":
-        from repro.vec.gemm import fast_gs
-
-        return fast_gs(n, tile, seed, overrides)
-    timer = StageTimer()
-    with timer.stage("generate"):
-        a_vals, b_vals = random_matrix(n, seed), random_matrix(n, seed + 1)
-    with timer.stage("setup"):
-        config = table1_config(**(overrides or GEMM_CACHE_OVERRIDES))
-        system = System(config)
-        a = DenseMatrix(system, n)
-        b = BlockedMatrix(system, n, gs=True)
-        c = DenseMatrix(system, n)
-        a.load(a_vals)
-        b.load(b_vals)
-    result = np.zeros((n, n), dtype=np.int64)
-    with timer.stage("run"):
-        run = system.run([gs_ops(a, b, c, result, tile)])
-    stats = component_snapshot(system)
-    with timer.stage("verify"):
-        oracle = a_vals @ b_vals
-        verified = _verify(system, c, result, oracle)
-    timer.attach(run)
-    return GemmRun("GS-DRAM", n, tile, run, verified, stats)
+    return _run(GS, n, tile, seed, overrides, mode)
 
 
 def best_tiled(n: int, tiles: tuple[int, ...] = DEFAULT_TILES, seed: int = 3,

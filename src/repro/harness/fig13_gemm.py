@@ -28,8 +28,8 @@ def run_figure13(
 ) -> tuple[FigureResult, ComparisonSummary]:
     """Run the Figure 13 sweep over matrix sizes.
 
-    ``mode="fast"`` replays the kernels' closed-form address streams on
-    the vectorized engine; points normalise DRAM accesses instead of
+    ``mode="fast"`` replays the kernels' access streams on the
+    vectorized engine; points normalise DRAM accesses instead of
     cycles (``GemmRun.work_proxy``), which tracks the same
     cache-pressure curve the tile sweep probes.
     """

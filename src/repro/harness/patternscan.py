@@ -35,10 +35,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cpu.stream import AccessStream, scan_ops
-from repro.dram.address import MappingPolicy
 from repro.errors import ConfigError, WorkloadError
 from repro.perf.specs import RunSpec
-from repro.sim.config import SystemConfig, table1_config
+from repro.sim.config import (
+    SystemConfig,
+    require_row_bank_column,
+    table1_config,
+)
 from repro.sim.results import RunResult, StageTimer
 from repro.sim.system import System
 from repro.utils.bitops import is_power_of_two
@@ -84,15 +87,8 @@ def _scan_config(variant: str, config_overrides: dict | None) -> SystemConfig:
     overrides = {"l2_size": 64 * 1024}
     overrides.update(config_overrides or {})
     config = table1_config(**overrides)
-    # The gathered scan steps ``stride`` columns per gather, which
-    # assumes consecutive lines share a DRAM row.
-    if (variant == "gathered"
-            and config.mapping_policy is not MappingPolicy.ROW_BANK_COLUMN):
-        raise ConfigError(
-            "the gathered scan needs mapping_policy="
-            f"{MappingPolicy.ROW_BANK_COLUMN.value!r}, got "
-            f"{config.mapping_policy.value!r}"
-        )
+    if variant == "gathered":
+        return require_row_bank_column(config, "the gathered scan")
     return config
 
 

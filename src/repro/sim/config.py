@@ -99,3 +99,20 @@ def plain_dram_config(**overrides) -> SystemConfig:
 def impulse_config(**overrides) -> SystemConfig:
     """Same machine with an Impulse-style gathering memory controller."""
     return SystemConfig(mechanism=Mechanism.IMPULSE).with_(**overrides)
+
+
+def require_row_bank_column(config: SystemConfig, user: str) -> SystemConfig:
+    """``config``, after checking that ``user``'s gathers hold on it.
+
+    The gathering layouts place the lines one gather covers in
+    consecutive columns of one DRAM row; a mapping that spreads
+    consecutive lines over banks breaks them, so it is refused with
+    :class:`ConfigError` instead of returning values from other lines.
+    """
+    if config.mapping_policy is not MappingPolicy.ROW_BANK_COLUMN:
+        raise ConfigError(
+            f"{user} needs mapping_policy="
+            f"{MappingPolicy.ROW_BANK_COLUMN.value!r}, got "
+            f"{config.mapping_policy.value!r}"
+        )
+    return config

@@ -19,8 +19,9 @@ batches that math over whole ``numpy`` int64 arrays:
 - :mod:`repro.vec.db` / :mod:`repro.vec.gemm` — the fast paths of
   the DB query engines (:mod:`repro.db.engine`) and the GEMM kernels
   (:mod:`repro.gemm.autotune`), dispatched via ``mode="fast"`` on the
-  drivers and stat-identical to the event machine. ``vec.db`` replays
-  the layouts' own access streams (:mod:`repro.cpu.stream`); the fig7
+  drivers and stat-identical to the event machine. Neither builds a
+  stream of its own: ``vec.db`` replays the layouts' access streams
+  and ``vec.gemm`` the kernels' (:mod:`repro.cpu.stream`); the fig7
   sweep (:mod:`repro.harness.patternscan`) replays its scan stream
   through :class:`DirtyReplay` directly.
 - :mod:`repro.vec.shim` — observability stand-ins so fast runs appear

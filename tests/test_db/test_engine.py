@@ -7,6 +7,8 @@ import pytest
 from repro.db.engine import run_analytics, run_htap, run_transactions
 from repro.db.layouts import ColumnStore, GSDRAMStore, RowStore
 from repro.db.workload import AnalyticsQuery, TransactionMix
+from repro.dram.address import MappingPolicy
+from repro.errors import ConfigError
 
 TUPLES = 512
 TXNS = 40
@@ -71,6 +73,19 @@ class TestAnalytics:
         fast = run_analytics(ColumnStore(), AnalyticsQuery((0,)),
                              num_tuples=2048, prefetch=True)
         assert fast.result.cycles < slow.result.cycles
+
+    @pytest.mark.parametrize("mode", ["event", "fast"])
+    def test_gs_store_needs_row_bank_column(self, mode):
+        # Bank interleaving spreads a tuple group's lines over banks, so
+        # a column gather would return values of other tuples.
+        with pytest.raises(ConfigError, match="mapping_policy"):
+            run_analytics(
+                GSDRAMStore(), AnalyticsQuery((0,)), num_tuples=256,
+                config_overrides={
+                    "mapping_policy": MappingPolicy.BANK_INTERLEAVED
+                },
+                mode=mode,
+            )
 
 
 class TestHTAP:

@@ -1,9 +1,11 @@
 """Exact golden regression tests for the event-mode figure runs.
 
 ``benchmarks/results/eventmode_<figure>.json`` pins every event RunSpec
-of fig9, fig10, fig11 and pim at quick scale: the answer, the
+of fig9, fig10, fig11, fig13 and pim at quick scale: the answer, the
 verification flag, ``result.to_dict()`` (cycles and engine events
-included) and the per-component counter dicts. The timed machine is
+included) and the per-component counter dicts; ``eventmode_fig13.json``
+adds an n=32 GEMM tile sweep (naive, tiled and GS at tiles 8, 16 and
+32). The timed machine is
 deterministic, so the comparison is exact, text for text: a host-speed
 change to the cache hierarchy, controller or core must leave these
 files byte-identical. ``eventmode_sweep.json`` pins the abl-6 strided

@@ -8,10 +8,12 @@ Writes three families of files under ``benchmarks/results``:
   spec set at the quick scale, executed on the vectorized engine,
   pinned as a flat result dict.
 - ``eventmode_<figure>.json``: every RunSpec of each event spec set of
-  fig9, fig10, fig11 and pim at the quick scale, executed on the timed
-  event machine. Each record holds ``verified``, ``answer``,
+  fig9, fig10, fig11, fig13 and pim at the quick scale, executed on the
+  timed event machine. Each record holds ``verified``, ``answer``,
   ``result.to_dict()`` and ``component_stats``, so the cycle counts,
   engine events and every component counter are pinned exactly.
+  ``eventmode_fig13.json`` adds an n=32 GEMM tile sweep: naive, plus
+  tiled and GS at tiles 8, 16 and 32.
 - ``eventmode_sweep.json``: the six abl-6 strided-scan points
   (``run_patternscan`` at 256 lines) and the three partial-gather
   analytics runs of the shuffle-stage sweep, on the event machine.
@@ -31,6 +33,7 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from repro.db.workload import AnalyticsQuery
+from repro.gemm.autotune import DEFAULT_TILES
 from repro.harness.common import QUICK
 from repro.harness.patternscan import SWEEP_STRIDES, VARIANTS, run_patternscan
 from repro.harness.specsets import FAST_FIGURES, figure_specs, spec_label
@@ -39,7 +42,10 @@ from repro.perf.specs import RunSpec, execute_spec
 RESULTS = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "results"
 
 #: The event spec sets pinned by ``eventmode_<figure>.json``.
-EVENT_FIGURES = ("fig9", "fig10", "fig11", "pim")
+EVENT_FIGURES = ("fig9", "fig10", "fig11", "fig13", "pim")
+
+#: Matrix size of the GEMM tile sweep in ``eventmode_fig13.json``.
+GEMM_SWEEP_N = 32
 
 #: Lines per strided scan in ``eventmode_sweep.json``.
 SWEEP_LINES = 256
@@ -58,18 +64,42 @@ def golden_record(figure: str) -> dict:
     }
 
 
+def event_run(spec: RunSpec) -> dict:
+    record = execute_spec(spec)
+    return {
+        "spec": spec_label(spec),
+        "verified": bool(record.verified),
+        "answer": getattr(record, "answer", None),
+        "result": record.result.to_dict(),
+        "component_stats": record.component_stats,
+    }
+
+
 def event_records(figure: str) -> dict:
+    runs = [event_run(spec) for spec in figure_specs(figure, QUICK)]
+    payload = {"figure": figure, "scale": QUICK.name, "runs": runs}
+    if figure == "fig13":
+        payload["tile_sweep"] = gemm_sweep_records()
+    return payload
+
+
+def gemm_sweep_records() -> list[dict]:
+    """Event GEMM at n=32: naive, then tiled and GS at every default tile.
+
+    The tiles give 4, 2 and 1 k-tile passes, so the partial-sum reload
+    of every pass after the first is pinned too.
+    """
+    points = [("naive", None)] + [
+        (variant, tile) for variant in ("tiled", "gs") for tile in DEFAULT_TILES
+    ]
     runs = []
-    for spec in figure_specs(figure, QUICK):
-        record = execute_spec(spec)
-        runs.append({
-            "spec": spec_label(spec),
-            "verified": bool(record.verified),
-            "answer": getattr(record, "answer", None),
-            "result": record.result.to_dict(),
-            "component_stats": record.component_stats,
-        })
-    return {"figure": figure, "scale": QUICK.name, "runs": runs}
+    for variant, tile in points:
+        params = {"variant": variant, "n": GEMM_SWEEP_N}
+        if tile is not None:
+            params["tile"] = tile
+        spec = RunSpec(kind="gemm", params=params, seed=3)
+        runs.append({"n": GEMM_SWEEP_N, "tile": tile, **event_run(spec)})
+    return runs
 
 
 def sweep_records() -> dict:

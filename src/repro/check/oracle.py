@@ -27,6 +27,8 @@ degenerate to the identity mapping — a contiguous cache line.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from repro.errors import AddressError, PatternError
 
 
@@ -85,9 +87,14 @@ class MemoryOracle:
         self._column_bits = _ilog2(columns_per_row)
         self._bank_bits = _ilog2(banks)
         self.capacity_bytes = banks * rows_per_bank * columns_per_row * self.line_bytes
-        self._memory = bytearray(self.capacity_bytes)
         #: Architectural access log: (kind, address, pattern, bytes).
         self.log: list[tuple[str, int, int, bytes]] = []
+
+    @cached_property
+    def _memory(self) -> bytearray:
+        """The flat byte array, zero-filled on the first access to it:
+        an oracle asked only for gather addresses never allocates it."""
+        return bytearray(self.capacity_bytes)
 
     @classmethod
     def from_config(cls, config) -> "MemoryOracle":

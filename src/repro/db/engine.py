@@ -38,7 +38,7 @@ from repro.errors import ConfigError, WorkloadError
 from repro.sim.config import (
     SystemConfig,
     plain_dram_config,
-    require_row_bank_column,
+    require_gathers_in_row,
     table1_config,
 )
 from repro.sim.results import RunResult, StageTimer
@@ -51,7 +51,7 @@ def layout_config(layout: StorageLayout, cores: int = 1,
                   prefetch: bool = False, **overrides) -> SystemConfig:
     """The machine configuration matched to the layout's substrate."""
     if isinstance(layout, GSDRAMStore):
-        return require_row_bank_column(
+        return require_gathers_in_row(
             table1_config(cores=cores, prefetch=prefetch, **overrides),
             f"the {layout.name} store",
         )

@@ -1,17 +1,27 @@
 """DRAM geometry and physical-address mapping.
 
-Physical addresses are decoded into (bank, row, column, line offset)
-according to a mapping policy. The default policy places column bits
-below bank bits, so a streaming access sweeps all columns of an open
-row before switching banks — the open-row-friendly layout the paper's
-FR-FCFS/open-page configuration assumes. A bank-interleaved policy is
-provided for ablations.
+:class:`AddressMapping` is the one statement of the address bit
+layout. A physical byte address is four contiguous bit fields: the
+line offset in the lowest bits, then column and bank in the order the
+:class:`MappingPolicy` picks, then the row. The mapping reads the
+policy once, into a shift and a mask per field, and every consumer
+reads those or calls its decode and encode, which take a Python int or
+a numpy int64 array.
+
+The default policy places column bits directly above the offset, so a
+streaming access sweeps all columns of an open row before switching
+banks — the open-row-friendly layout the paper's FR-FCFS/open-page
+configuration assumes. A bank-interleaved policy is provided for
+ablations. Whether GS-DRAM gathers hold on a mapping is derived from
+the fields, by :meth:`AddressMapping.gathers_in_row`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.errors import AddressError, ConfigError
 from repro.utils.bitops import ilog2, is_power_of_two
@@ -84,8 +94,19 @@ class MappingPolicy(enum.Enum):
     BANK_INTERLEAVED = "bank-interleaved"
 
 
+def _check_batch(name: str, values: np.ndarray, limit: int) -> None:
+    """One range check for a whole batch of field values."""
+    if values.size and (int(values.min()) < 0 or int(values.max()) >= limit):
+        raise AddressError(f"{name} batch out of range [0, {limit:#x})")
+
+
 class AddressMapping:
-    """Bidirectional physical address <-> (bank, row, column) mapping."""
+    """Bidirectional physical address <-> (bank, row, column) mapping.
+
+    Field ``f`` of an address is ``(address >> f_shift) & f_mask``; the
+    offset sits at bit 0. :meth:`_split` and :meth:`_join` are the one
+    copy of that arithmetic, and they take an int or an int64 array.
+    """
 
     def __init__(
         self,
@@ -93,21 +114,41 @@ class AddressMapping:
         policy: MappingPolicy = MappingPolicy.ROW_BANK_COLUMN,
     ) -> None:
         self.geometry = geometry
-        self.policy = policy
         self.offset_bits = ilog2(geometry.line_bytes)
         self.column_bits = ilog2(geometry.columns_per_row)
-        self.bank_bits = ilog2(geometry.banks)
-        self.row_bits = ilog2(geometry.rows_per_bank)
-        self.address_bits = (
-            self.offset_bits + self.column_bits + self.bank_bits + self.row_bits
-        )
+        bank_bits = ilog2(geometry.banks)
+        self.offset_mask = geometry.line_bytes - 1
+        self.column_mask = geometry.columns_per_row - 1
+        self.bank_mask = geometry.banks - 1
+        self.row_mask = geometry.rows_per_bank - 1
+        # The one reading of the policy: the order of column and bank
+        # between the offset and the row.
+        if policy is MappingPolicy.ROW_BANK_COLUMN:
+            self.column_shift = self.offset_bits
+            self.bank_shift = self.column_shift + self.column_bits
+        else:
+            self.bank_shift = self.offset_bits
+            self.column_shift = self.bank_shift + bank_bits
+        self.row_shift = self.offset_bits + self.column_bits + bank_bits
         self._capacity = geometry.capacity_bytes
-        self._offset_mask = geometry.line_bytes - 1
-        self._column_mask = geometry.columns_per_row - 1
-        self._bank_mask = geometry.banks - 1
-        # Decided once: reading an enum member off its class costs more
-        # than the decode arithmetic.
-        self._column_low = policy is MappingPolicy.ROW_BANK_COLUMN
+
+    def _split(self, address):
+        """(bank, row, column, offset) of in-range address(es)."""
+        return (
+            (address >> self.bank_shift) & self.bank_mask,
+            (address >> self.row_shift) & self.row_mask,
+            (address >> self.column_shift) & self.column_mask,
+            address & self.offset_mask,
+        )
+
+    def _join(self, bank, row, column, offset):
+        """Inverse of :meth:`_split` for in-range fields."""
+        return (
+            (bank << self.bank_shift)
+            | (row << self.row_shift)
+            | (column << self.column_shift)
+            | offset
+        )
 
     def decode(self, address: int) -> DecodedAddress:
         """Split a physical byte address into DRAM coordinates."""
@@ -116,20 +157,8 @@ class AddressMapping:
                 f"address {address:#x} outside module capacity "
                 f"{self._capacity:#x}"
             )
-        offset = address & self._offset_mask
-        line = address >> self.offset_bits
-        if self._column_low:
-            column = line & self._column_mask
-            line >>= self.column_bits
-            bank = line & self._bank_mask
-            row = line >> self.bank_bits
-        else:
-            bank = line & self._bank_mask
-            line >>= self.bank_bits
-            column = line & self._column_mask
-            row = line >> self.column_bits
         # Positional: keyword arguments double the build cost.
-        return DecodedAddress(bank, row, column, offset)
+        return DecodedAddress(*self._split(address))
 
     def encode(self, bank: int, row: int, column: int, offset: int = 0) -> int:
         """Inverse of :meth:`decode`."""
@@ -142,12 +171,44 @@ class AddressMapping:
             raise AddressError(f"column {column} out of range")
         if not 0 <= offset < geometry.line_bytes:
             raise AddressError(f"offset {offset} out of range")
-        if self.policy is MappingPolicy.ROW_BANK_COLUMN:
-            line = ((row << self.bank_bits) | bank) << self.column_bits | column
-        else:
-            line = ((row << self.column_bits) | column) << self.bank_bits | bank
-        return (line << self.offset_bits) | offset
+        return self._join(bank, row, column, offset)
+
+    def decode_array(self, addresses) -> tuple[np.ndarray, ...]:
+        """(bank, row, column, offset) int64 arrays of an address batch.
+
+        Batch form of :meth:`decode`: one range check for the batch.
+        """
+        addresses = np.asarray(addresses, dtype=np.int64)
+        _check_batch("address", addresses, self._capacity)
+        return self._split(addresses)
+
+    def encode_array(self, bank, row, column, offset=0) -> np.ndarray:
+        """Batch form of :meth:`encode`; the fields broadcast together."""
+        geometry = self.geometry
+        fields = []
+        for name, values, limit in (
+            ("bank", bank, geometry.banks),
+            ("row", row, geometry.rows_per_bank),
+            ("column", column, geometry.columns_per_row),
+            ("offset", offset, geometry.line_bytes),
+        ):
+            values = np.asarray(values, dtype=np.int64)
+            _check_batch(name, values, limit)
+            fields.append(values)
+        return self._join(*fields)
 
     def line_address(self, address: int) -> int:
         """Address rounded down to its cache-line base."""
-        return address & ~self._offset_mask
+        return address & ~self.offset_mask
+
+    def gathers_in_row(self, pattern_bits: int) -> bool:
+        """True when a GS-DRAM gather covers consecutive lines of one row.
+
+        The CTL rewrites the low ``pattern_bits`` column bits (Section
+        3.3), and the gathering layouts place the lines one gather
+        covers at consecutive line addresses. Both agree when the
+        ``pattern_bits`` lowest line-address bits all lie in the column
+        field: no bank or row bit among them, none past the row's width.
+        """
+        rewritten = ((1 << pattern_bits) - 1) << self.offset_bits
+        return (rewritten & (self.column_mask << self.column_shift)) == rewritten

@@ -142,19 +142,13 @@ class DRAMModule:
     def _row_groups(self, address: int, count: int, shuffled: bool):
         """``(bank, row, line indices, slots)`` per DRAM row that the
         ``count`` whole lines from ``address`` touch."""
-        # repro.vec's package imports the simulator, which imports this.
-        from repro.vec.kernels import decompose_addresses
-
         g = self.geometry
-        loc = decompose_addresses(
-            address + g.line_bytes * np.arange(count, dtype=np.int64),
-            banks=g.banks, rows_per_bank=g.rows_per_bank,
-            columns_per_row=g.columns_per_row, line_bytes=g.line_bytes,
-            policy=self.mapping.policy,
+        banks, rows, columns, _ = self.mapping.decode_array(
+            address + g.line_bytes * np.arange(count, dtype=np.int64)
         )
-        rows = loc["bank"] * g.rows_per_bank + loc["row"]
-        for key in np.unique(rows).tolist():
-            pick = np.flatnonzero(rows == key)
+        keys = banks * g.rows_per_bank + rows
+        for key in np.unique(keys).tolist():
+            pick = np.flatnonzero(keys == key)
             bank, row = divmod(key, g.rows_per_bank)
-            slots = self._pattern0_slots(loc["column"][pick], shuffled)
+            slots = self._pattern0_slots(columns[pick], shuffled)
             yield bank, row, pick, slots.ravel()

@@ -33,7 +33,7 @@ from repro.gemm.matrix import random_matrix
 from repro.sim.config import (
     SystemConfig,
     plain_dram_config,
-    require_row_bank_column,
+    require_gathers_in_row,
     table1_config,
 )
 from repro.sim.results import RunResult, StageTimer
@@ -79,8 +79,8 @@ def gemm_config(kernel: Kernel, overrides: dict | None) -> SystemConfig:
     """The machine a kernel runs on, in either mode."""
     overrides = overrides or GEMM_CACHE_OVERRIDES
     if kernel.gs:
-        return require_row_bank_column(table1_config(**overrides),
-                                       "GS-DRAM GEMM")
+        return require_gathers_in_row(table1_config(**overrides),
+                                      "GS-DRAM GEMM")
     return plain_dram_config(**overrides)
 
 

@@ -39,7 +39,7 @@ from repro.errors import ConfigError, WorkloadError
 from repro.perf.specs import RunSpec
 from repro.sim.config import (
     SystemConfig,
-    require_row_bank_column,
+    require_gathers_in_row,
     table1_config,
 )
 from repro.sim.results import RunResult, StageTimer
@@ -88,7 +88,7 @@ def _scan_config(variant: str, config_overrides: dict | None) -> SystemConfig:
     overrides.update(config_overrides or {})
     config = table1_config(**overrides)
     if variant == "gathered":
-        return require_row_bank_column(config, "the gathered scan")
+        return require_gathers_in_row(config, "the gathered scan")
     return config
 
 

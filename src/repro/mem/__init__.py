@@ -2,11 +2,7 @@
 
 from repro.mem.controller import MemoryController
 from repro.mem.impulse import ImpulseController, ImpulseModule
-from repro.mem.mapping import (
-    MappingPolicy,
-    PIMRowGroupPolicy,
-    StaticPatternPolicy,
-)
+from repro.mem.mapping import PIMRowGroupPolicy
 from repro.mem.profile import (
     BandwidthProfile,
     RowLocality,
@@ -22,10 +18,8 @@ __all__ = [
     "FRFCFS",
     "ImpulseController",
     "ImpulseModule",
-    "MappingPolicy",
     "PIMRowGroupPolicy",
     "RowLocality",
-    "StaticPatternPolicy",
     "bandwidth_profile",
     "row_locality",
     "MemoryController",

@@ -1,52 +1,37 @@
-"""The mapping-policy seam: who owns address translation + placement.
+"""Row-group placement for in-DRAM compute.
 
-Historically :class:`~repro.sim.system.System` wired a
-:class:`~repro.vm.page_table.PageTable` and a
-:class:`~repro.vm.pattmalloc.PattAllocator` together inline; every
-consumer that wanted the same behaviour (the fast path, the PIM
-executor) re-built the pair by hand. ROADMAP item 5 notes that both
-dynamic remapping (DReAM-style) and in-DRAM compute placement want a
-single seam instead. :class:`MappingPolicy` is that seam: it owns the
-page table and allocator, answers translation queries, and exposes
-placement hooks that subclasses specialise.
-
-Two policies ship today:
-
-- :class:`StaticPatternPolicy` — exactly the historical behaviour:
-  static pattern-ID attributes recorded at ``pattmalloc`` time,
-  identity physical mapping.
-- :class:`PIMRowGroupPolicy` — adds same-bank *row-group* reservation
-  for in-DRAM compute (MRA operands must share a bank, see
-  docs/INDRAM.md): groups are carved top-down from the highest rows
-  while the bump allocator grows bottom-up, and the allocator's
-  capacity is shrunk past each reservation so the two can never meet.
-
-This class is unrelated to the address-bit-split enum
-:class:`repro.dram.address.MappingPolicy`, which keeps its name for
-compatibility (it is embedded in perf cache keys).
+MRA operands must share a bank (see docs/INDRAM.md), so the PIM
+executor needs to *place* rows, not just hand out addresses.
+:class:`PIMRowGroupPolicy` owns one module's page table and
+``pattmalloc`` allocator and carves same-bank *row groups* top-down
+from the highest rows while the bump allocator grows bottom-up; the
+allocator's capacity is shrunk past each reservation so the two can
+never meet.
 """
 
 from __future__ import annotations
 
 from repro.errors import AllocationError
-from repro.vm.page_table import PageTable
 from repro.vm.pattmalloc import PattAllocator
 
 
-class MappingPolicy:
-    """Owns translation + placement for one module's physical space."""
+class PIMRowGroupPolicy:
+    """Static pattern-ID mapping plus top-down per-bank row-group
+    reservation."""
 
-    name = "static"
-
-    def __init__(self, module, page_table: PageTable | None = None) -> None:
+    def __init__(self, module) -> None:
         self.module = module
-        self.page_table = page_table or PageTable()
         self.allocator = PattAllocator(
             capacity_bytes=module.geometry.capacity_bytes,
             line_bytes=module.line_bytes,
             row_bytes=module.geometry.row_bytes,
-            page_table=self.page_table,
         )
+        self.page_table = self.allocator.page_table
+        rows = module.geometry.rows_per_bank
+        #: Next unreserved row per bank, counting down from the top.
+        self._next_free_row = {
+            bank: rows for bank in range(module.geometry.banks)
+        }
 
     # -- allocation --------------------------------------------------
     def pattmalloc(self, size: int, shuffle: bool = False,
@@ -71,37 +56,7 @@ class MappingPolicy:
         """Physical address of the first byte of ``(bank, row)``."""
         return self.module.mapping.encode(bank, row, 0)
 
-    # -- placement hooks ---------------------------------------------
-    def reserve_row_group(self, bank: int, count: int) -> tuple[int, ...]:
-        """Reserve ``count`` same-bank rows for in-DRAM compute.
-
-        The static policy has no compute placement; subclasses that
-        support it override this.
-        """
-        raise AllocationError(
-            f"mapping policy {self.name!r} cannot reserve PIM row groups"
-        )
-
-
-class StaticPatternPolicy(MappingPolicy):
-    """Today's behaviour: static pattern-ID mapping, nothing reserved."""
-
-    name = "static-pattern"
-
-
-class PIMRowGroupPolicy(StaticPatternPolicy):
-    """Static mapping plus top-down per-bank row-group reservation."""
-
-    name = "pim-row-group"
-
-    def __init__(self, module, page_table: PageTable | None = None) -> None:
-        super().__init__(module, page_table)
-        rows = module.geometry.rows_per_bank
-        #: Next unreserved row per bank, counting down from the top.
-        self._next_free_row = {
-            bank: rows for bank in range(module.geometry.banks)
-        }
-
+    # -- placement ---------------------------------------------------
     def reserved_rows(self, bank: int) -> int:
         """How many rows of ``bank`` are reserved for compute."""
         return self.module.geometry.rows_per_bank - self._next_free_row[bank]

@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 
-from repro.dram.address import Geometry, MappingPolicy
+from repro.dram.address import AddressMapping, Geometry, MappingPolicy
 from repro.errors import ConfigError
 
 
@@ -101,18 +101,23 @@ def impulse_config(**overrides) -> SystemConfig:
     return SystemConfig(mechanism=Mechanism.IMPULSE).with_(**overrides)
 
 
-def require_row_bank_column(config: SystemConfig, user: str) -> SystemConfig:
+def require_gathers_in_row(config: SystemConfig, user: str) -> SystemConfig:
     """``config``, after checking that ``user``'s gathers hold on it.
 
     The gathering layouts place the lines one gather covers in
-    consecutive columns of one DRAM row; a mapping that spreads
-    consecutive lines over banks breaks them, so it is refused with
+    consecutive columns of one DRAM row, which needs the address bits
+    the CTL rewrites to be column bits
+    (:meth:`~repro.dram.address.AddressMapping.gathers_in_row`). A
+    mapping or a row width that breaks this is refused with
     :class:`ConfigError` instead of returning values from other lines.
     """
-    if config.mapping_policy is not MappingPolicy.ROW_BANK_COLUMN:
+    mapping = AddressMapping(config.geometry, config.mapping_policy)
+    if not mapping.gathers_in_row(config.pattern_bits):
         raise ConfigError(
-            f"{user} needs mapping_policy="
-            f"{MappingPolicy.ROW_BANK_COLUMN.value!r}, got "
-            f"{config.mapping_policy.value!r}"
+            f"{user} needs the low pattern_bits={config.pattern_bits} "
+            f"line-address bits, which the CTL rewrites, to be column "
+            f"bits; mapping_policy={config.mapping_policy.value!r} with "
+            f"columns_per_row={config.geometry.columns_per_row} puts "
+            f"bank or row bits among them"
         )
     return config

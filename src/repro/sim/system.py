@@ -22,13 +22,13 @@ from repro.errors import SimulationError
 from repro.mem.channels import MultiChannelController, MultiChannelModule
 from repro.mem.controller import MemoryController
 from repro.mem.impulse import ImpulseController, ImpulseModule
-from repro.mem.mapping import StaticPatternPolicy
 from repro.mem.schedulers import FCFS, FRFCFS, Scheduler
 from repro.obs.session import current_session
 from repro.sim.config import Mechanism, SchedulerKind, SystemConfig
 from repro.sim.results import RunResult
 from repro.utils.bitops import split_span
 from repro.utils.events import Engine
+from repro.vm.pattmalloc import PattAllocator
 
 
 def _build_module(config: SystemConfig) -> DRAMModule:
@@ -65,16 +65,9 @@ def _build_scheduler(config: SystemConfig) -> Scheduler:
 
 
 class System:
-    """A complete simulated machine, built from one SystemConfig.
+    """A complete simulated machine, built from one SystemConfig."""
 
-    ``mapping_policy`` is the :class:`repro.mem.mapping.MappingPolicy`
-    seam (page table + allocator + placement); ``None`` builds the
-    default :class:`~repro.mem.mapping.StaticPatternPolicy`, which is
-    the historical behaviour. Pass a policy *class* — it is
-    instantiated against this system's module.
-    """
-
-    def __init__(self, config: SystemConfig, mapping_policy=None) -> None:
+    def __init__(self, config: SystemConfig) -> None:
         self.config = config
         self.engine = Engine()
         if config.channels > 1:
@@ -140,12 +133,12 @@ class System:
             l2_latency=config.l2_latency,
             prefetcher=prefetcher,
         )
-        policy_cls = mapping_policy or StaticPatternPolicy
-        self.mapping_policy = policy_cls(self.module)
-        # Back-compat aliases: the rest of the machine (and a lot of
-        # tests) address the pair directly.
-        self.page_table = self.mapping_policy.page_table
-        self.allocator = self.mapping_policy.allocator
+        self.allocator = PattAllocator(
+            capacity_bytes=self.module.geometry.capacity_bytes,
+            line_bytes=self.module.line_bytes,
+            row_bytes=self.module.geometry.row_bytes,
+        )
+        self.page_table = self.allocator.page_table
         self.cores = [
             Core(
                 self.engine,

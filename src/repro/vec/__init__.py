@@ -5,12 +5,14 @@ XOR butterfly, the column translation logic an AND + XOR — but the
 figure sweeps evaluate them per access in pure Python. This package
 batches that math over whole ``numpy`` int64 arrays:
 
-- :mod:`repro.vec.kernels` — array variants of the CTL translation,
-  gather-address assembly and DRAM address (de)composition, plus
+- :mod:`repro.vec.kernels` — array variants of the CTL translation
+  and gather-address assembly, plus
   :func:`~repro.vec.kernels.loaded_addresses`, which maps an access
   stream to the addresses of the values it reads. The scalar functions
-  in :mod:`repro.core.ctl`, :mod:`repro.dram.address` and
-  :mod:`repro.check.oracle` remain the reference implementations.
+  in :mod:`repro.core.ctl` and :mod:`repro.check.oracle` remain the
+  reference implementations; DRAM addresses are split and joined by
+  :class:`repro.dram.address.AddressMapping`, whose one bit arithmetic
+  takes ints and arrays alike.
 - :mod:`repro.vec.hier` — :class:`DirtyReplay`, the fast path's one
   model of the caches, the DBI and the controller: a metadata-only
   replay of their accounting over prepared address arrays (no
@@ -41,9 +43,7 @@ from repro.vec.hier import (
 )
 from repro.vec.kernels import (
     ctl_translate,
-    decompose_addresses,
     effective_chip_ids,
-    encode_addresses,
     gather_addresses_batch,
     loaded_addresses,
 )
@@ -53,9 +53,7 @@ __all__ = [
     "RowProfile",
     "assert_fast_compatible",
     "ctl_translate",
-    "decompose_addresses",
     "effective_chip_ids",
-    "encode_addresses",
     "fast_supported",
     "gather_addresses_batch",
     "loaded_addresses",

@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.dram.address import AddressMapping
 from repro.energy.model import system_energy
 from repro.errors import ConfigError, ProtocolError
 from repro.obs.session import current_session
@@ -134,21 +135,15 @@ class DirtyReplay:
         geometry = config.geometry
         self.geometry = geometry
         line_bytes = geometry.line_bytes
-        self._offset_bits = line_bytes.bit_length() - 1
+        mapping = AddressMapping(geometry, config.mapping_policy)
+        self._offset_bits = mapping.offset_bits
         self._pattern_mask = line_bytes - 1
-        column_bits = geometry.columns_per_row.bit_length() - 1
-        bank_bits = geometry.banks.bit_length() - 1
-        self._bank_mask = geometry.banks - 1
-        # Address bits, low to high: offset, then column and bank in
-        # the mapping's order, then row. A line key's bank is
-        # (key >> _bank_shift) & _bank_mask and its row key >> _row_shift.
-        if config.mapping_policy.value == "row-bank-column":
-            self._column_shift = self._offset_bits
-            self._bank_shift = self._offset_bits + column_bits
-        else:
-            self._bank_shift = self._offset_bits
-            self._column_shift = self._offset_bits + bank_bits
-        self._row_shift = self._offset_bits + column_bits + bank_bits
+        # A line key's bank is (key >> _bank_shift) & _bank_mask and its
+        # row key >> _row_shift: the row is the mapping's top field.
+        self._column_shift = mapping.column_shift
+        self._bank_shift = mapping.bank_shift
+        self._bank_mask = mapping.bank_mask
+        self._row_shift = mapping.row_shift
         self._chips = geometry.chips
         self._supports_patterns = config.mechanism is Mechanism.GS_DRAM
 

@@ -7,6 +7,8 @@ against the production :class:`GSModule` — two independent derivations
 of Sections 3.2/3.3/3.5 agreeing on every (pattern, column) pair.
 """
 
+import tracemalloc
+
 import pytest
 
 from repro.check.oracle import MemoryOracle
@@ -166,3 +168,16 @@ class TestFromConfig:
         assert oracle.pattern_bits == 0
         with pytest.raises(PatternError):
             oracle.gather_addresses(0, 1)
+
+    def test_gather_addresses_allocate_no_memory(self):
+        # The flat byte array (256 MB at Table 1) waits for the first
+        # load, store, read or write.
+        tracemalloc.start()
+        try:
+            oracle = MemoryOracle.from_config(table1_config())
+            oracle.gather_addresses(3 * 64, 7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert oracle.read(oracle.capacity_bytes - 8, 8) == bytes(8)

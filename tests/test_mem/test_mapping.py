@@ -1,15 +1,11 @@
-"""Tests for the mapping-policy seam (repro.mem.mapping)."""
+"""Tests for PIM row-group placement (repro.mem.mapping)."""
 
 import pytest
 
 from repro.dram.address import Geometry
 from repro.dram.module import DRAMModule
 from repro.errors import AllocationError
-from repro.mem.mapping import (
-    MappingPolicy,
-    PIMRowGroupPolicy,
-    StaticPatternPolicy,
-)
+from repro.mem.mapping import PIMRowGroupPolicy
 
 SMALL = Geometry(chips=8, banks=2, rows_per_bank=8, columns_per_row=16)
 
@@ -19,34 +15,32 @@ def make_module() -> DRAMModule:
 
 
 class TestStaticPolicy:
+    """The static pattern-ID half of the policy: allocation and
+    translation, with nothing reserved."""
+
     def test_owns_allocator_and_page_table(self):
-        policy = StaticPatternPolicy(make_module())
+        policy = PIMRowGroupPolicy(make_module())
         assert policy.allocator.page_table is policy.page_table
         assert policy.allocator.capacity_bytes == SMALL.capacity_bytes
 
     def test_malloc_translate_roundtrip(self):
-        policy = StaticPatternPolicy(make_module())
+        policy = PIMRowGroupPolicy(make_module())
         address = policy.malloc(256)
         paddr, shuffled, pattern = policy.translate(address)
         assert (paddr, shuffled, pattern) == (address, False, 0)
 
     def test_pattmalloc_records_attributes(self):
-        policy = StaticPatternPolicy(make_module())
+        policy = PIMRowGroupPolicy(make_module())
         address = policy.pattmalloc(1024, shuffle=True, pattern=7)
         _, shuffled, pattern = policy.translate(address)
         assert (shuffled, pattern) == (True, 7)
 
     def test_row_address_locate_roundtrip(self):
-        policy = StaticPatternPolicy(make_module())
+        policy = PIMRowGroupPolicy(make_module())
         for bank in range(SMALL.banks):
             for row in range(SMALL.rows_per_bank):
                 loc = policy.locate(policy.row_address(bank, row))
                 assert (loc.bank, loc.row, loc.column) == (bank, row, 0)
-
-    def test_static_policies_cannot_reserve(self):
-        for cls in (MappingPolicy, StaticPatternPolicy):
-            with pytest.raises(AllocationError):
-                cls(make_module()).reserve_row_group(0, 2)
 
 
 class TestPIMRowGroupPolicy:

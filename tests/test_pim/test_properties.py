@@ -3,8 +3,8 @@
 The laws come from the primitive definitions: AND/OR/MAJ are
 permutation-invariant, majority with a repeated operand collapses to
 it, shifts compose and round-trip when no live bit falls off the edge,
-and the mapping-policy address algebra round-trips under both static
-and PIM row-group placements.
+and the PIM row-group policy's address algebra round-trips, before
+and after reservations.
 
 The default profile is derandomized (see tests/conftest.py), so these
 run as fixed regressions in tier-1 and CI; use HYPOTHESIS_PROFILE=deep
@@ -20,7 +20,7 @@ from hypothesis import given, strategies as st  # noqa: E402
 
 from repro.dram.address import Geometry  # noqa: E402
 from repro.dram.module import DRAMModule  # noqa: E402
-from repro.mem.mapping import PIMRowGroupPolicy, StaticPatternPolicy  # noqa: E402
+from repro.mem.mapping import PIMRowGroupPolicy  # noqa: E402
 from repro.pim.reference import combine_reference, shift_reference  # noqa: E402
 
 ROW_BYTES = 8
@@ -99,7 +99,7 @@ class TestMappingPolicyLaws:
     @given(bank=st.integers(0, SMALL.banks - 1),
            row=st.integers(0, SMALL.rows_per_bank - 1))
     def test_static_address_round_trip(self, bank, row):
-        policy = StaticPatternPolicy(DRAMModule(geometry=SMALL))
+        policy = PIMRowGroupPolicy(DRAMModule(geometry=SMALL))
         loc = policy.locate(policy.row_address(bank, row))
         assert (loc.bank, loc.row, loc.column, loc.offset) == (bank, row, 0, 0)
 

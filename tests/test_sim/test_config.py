@@ -2,12 +2,19 @@
 
 import pytest
 
+from repro.db.engine import run_analytics
+from repro.db.layouts import GSDRAMStore
+from repro.db.workload import AnalyticsQuery
+from repro.dram.address import Geometry
 from repro.errors import ConfigError
+from repro.gemm.autotune import run_gs
+from repro.harness.patternscan import run_patternscan
 from repro.sim.config import (
     Mechanism,
     SchedulerKind,
     SystemConfig,
     plain_dram_config,
+    require_gathers_in_row,
     table1_config,
 )
 
@@ -86,3 +93,39 @@ class TestVariants:
     def test_validation(self):
         with pytest.raises(ConfigError):
             SystemConfig(cores=0)
+
+
+NARROW = {"geometry": Geometry(columns_per_row=4)}
+
+#: The three gathering drivers, each as (config overrides, mode) -> run.
+GATHER_DRIVERS = {
+    "analytics": lambda overrides, mode: run_analytics(
+        GSDRAMStore(), AnalyticsQuery((0,)), num_tuples=256,
+        config_overrides=overrides, mode=mode,
+    ),
+    "patternscan": lambda overrides, mode: run_patternscan(
+        "gathered", 8, lines=64, mode=mode, config_overrides=overrides,
+    ),
+    "gemm": lambda overrides, mode: run_gs(
+        16, tile=8, mode=mode, overrides=overrides,
+    ),
+}
+
+
+class TestGatherLegality:
+    """A gathering run refuses a config its gathers cannot hold on, by
+    name, before anything is simulated."""
+
+    @pytest.mark.parametrize("mode", ["event", "fast"])
+    @pytest.mark.parametrize("driver", sorted(GATHER_DRIVERS))
+    def test_narrow_rows_are_a_config_error(self, driver, mode):
+        # 4 columns hold 2 column bits; the 3-bit CTL would rewrite a
+        # bank bit too.
+        with pytest.raises(ConfigError, match="columns_per_row"):
+            GATHER_DRIVERS[driver](NARROW, mode)
+
+    def test_predicate_reads_pattern_bits(self):
+        narrow = table1_config(pattern_bits=2, **NARROW)
+        assert require_gathers_in_row(narrow, "test") is narrow
+        with pytest.raises(ConfigError, match="pattern_bits=3"):
+            require_gathers_in_row(table1_config(**NARROW), "test")

@@ -5,6 +5,7 @@ import pytest
 
 from repro.check.fastpath import fast_configs, run_trace_equivalence, run_trace_pair
 from repro.check.strategies import RegionSpec, TraceOp, TraceSpec
+from repro.dram.address import MappingPolicy
 from repro.errors import ConfigError, ProtocolError
 from repro.sim.config import Mechanism, impulse_config, table1_config
 from repro.vec.hier import DirtyReplay, assert_fast_compatible, fast_supported
@@ -56,6 +57,17 @@ class TestEventEquivalence:
         assert len(configs) >= 3
         report = run_trace_equivalence(
             traces_per_config=1, seed=1234, max_ops=24, configs=configs[:2]
+        )
+        assert report.ok, report.render()
+        assert report.runs == 2
+
+    def test_random_trace_battery_bank_interleaved(self):
+        # DirtyReplay reads its bank, row and column shifts off the
+        # mapping; one trace under this config can miss a wrong shift.
+        config = fast_configs()[4]
+        assert config.mapping_policy is MappingPolicy.BANK_INTERLEAVED
+        report = run_trace_equivalence(
+            traces_per_config=2, seed=1234, max_ops=24, configs=[config]
         )
         assert report.ok, report.render()
         assert report.runs == 2

@@ -89,74 +89,6 @@ GEOMETRIES = [
 ]
 
 
-class TestAddressKernels:
-    @pytest.mark.parametrize("geometry", GEOMETRIES)
-    @pytest.mark.parametrize("policy", list(MappingPolicy))
-    def test_decompose_matches_decode(self, geometry, policy):
-        mapping = AddressMapping(geometry, policy)
-        rng = np.random.default_rng(13)
-        addresses = rng.integers(
-            0, geometry.capacity_bytes, size=256, dtype=np.int64
-        )
-        fields = kernels.decompose_addresses(
-            addresses,
-            banks=geometry.banks,
-            rows_per_bank=geometry.rows_per_bank,
-            columns_per_row=geometry.columns_per_row,
-            line_bytes=geometry.line_bytes,
-            policy=policy,
-        )
-        for i, address in enumerate(addresses.tolist()):
-            decoded = mapping.decode(address)
-            assert fields["bank"][i] == decoded.bank
-            assert fields["row"][i] == decoded.row
-            assert fields["column"][i] == decoded.column
-            assert fields["offset"][i] == decoded.offset
-            assert fields["channel"][i] == 0
-            assert fields["rank"][i] == 0
-
-    @pytest.mark.parametrize("geometry", GEOMETRIES)
-    @pytest.mark.parametrize("policy", list(MappingPolicy))
-    def test_encode_round_trip(self, geometry, policy):
-        mapping = AddressMapping(geometry, policy)
-        rng = np.random.default_rng(17)
-        banks = rng.integers(0, geometry.banks, size=128, dtype=np.int64)
-        rows = rng.integers(0, geometry.rows_per_bank, size=128, dtype=np.int64)
-        columns = rng.integers(
-            0, geometry.columns_per_row, size=128, dtype=np.int64
-        )
-        encoded = kernels.encode_addresses(
-            banks, rows, columns,
-            banks=geometry.banks,
-            rows_per_bank=geometry.rows_per_bank,
-            columns_per_row=geometry.columns_per_row,
-            line_bytes=geometry.line_bytes,
-            policy=policy,
-        )
-        for i in range(banks.shape[0]):
-            assert encoded[i] == mapping.encode(
-                int(banks[i]), int(rows[i]), int(columns[i])
-            )
-
-    def test_out_of_capacity_rejected(self):
-        geometry = GEOMETRIES[1]
-        with pytest.raises(AddressError):
-            kernels.decompose_addresses(
-                [geometry.capacity_bytes],
-                banks=geometry.banks,
-                rows_per_bank=geometry.rows_per_bank,
-                columns_per_row=geometry.columns_per_row,
-                line_bytes=geometry.line_bytes,
-            )
-
-    def test_encode_range_rejected(self):
-        with pytest.raises(AddressError):
-            kernels.encode_addresses(
-                [4], [0], [0],
-                banks=4, rows_per_bank=64, columns_per_row=16,
-            )
-
-
 class TestGatherAddressesBatch:
     @pytest.mark.parametrize(
         "geometry,shuffle_stages,pattern_bits",
@@ -168,44 +100,36 @@ class TestGatherAddressesBatch:
         ],
     )
     def test_matches_oracle(self, geometry, shuffle_stages, pattern_bits):
-        oracle = MemoryOracle(
-            chips=geometry.chips,
-            banks=geometry.banks,
-            rows_per_bank=geometry.rows_per_bank,
-            columns_per_row=geometry.columns_per_row,
-            column_bytes=geometry.column_bytes,
-            shuffle_stages=shuffle_stages,
-            pattern_bits=pattern_bits,
-        )
         rng = np.random.default_rng(19)
         lines = rng.integers(
             0, geometry.lines, size=64, dtype=np.int64
         ) * geometry.line_bytes
         patterns = rng.integers(0, 1 << pattern_bits, size=64, dtype=np.int64)
-        batch = kernels.gather_addresses_batch(
-            lines, patterns,
-            chips=geometry.chips,
-            banks=geometry.banks,
-            rows_per_bank=geometry.rows_per_bank,
-            columns_per_row=geometry.columns_per_row,
-            column_bytes=geometry.column_bytes,
-            shuffle_stages=shuffle_stages,
-            pattern_bits=pattern_bits,
-        )
-        for i in range(lines.shape[0]):
-            assert batch[i].tolist() == oracle.gather_addresses(
-                int(lines[i]), int(patterns[i])
-            )
-
-    def test_pattern_overflow_rejected(self):
-        geometry = GEOMETRIES[0]
-        with pytest.raises(PatternError):
-            kernels.gather_addresses_batch(
-                [0], [8],
+        for policy in MappingPolicy:
+            oracle = MemoryOracle(
                 chips=geometry.chips,
                 banks=geometry.banks,
                 rows_per_bank=geometry.rows_per_bank,
                 columns_per_row=geometry.columns_per_row,
+                column_bytes=geometry.column_bytes,
+                shuffle_stages=shuffle_stages,
+                pattern_bits=pattern_bits,
+                bank_interleaved=policy is MappingPolicy.BANK_INTERLEAVED,
+            )
+            batch = kernels.gather_addresses_batch(
+                lines, patterns, AddressMapping(geometry, policy),
+                shuffle_stages=shuffle_stages,
+                pattern_bits=pattern_bits,
+            )
+            for i in range(lines.shape[0]):
+                assert batch[i].tolist() == oracle.gather_addresses(
+                    int(lines[i]), int(patterns[i])
+                ), (policy, i)
+
+    def test_pattern_overflow_rejected(self):
+        with pytest.raises(PatternError):
+            kernels.gather_addresses_batch(
+                [0], [8], AddressMapping(GEOMETRIES[0]),
                 shuffle_stages=3,
                 pattern_bits=3,
             )

@@ -190,7 +190,12 @@ class MemoryOracle:
     def _byte_addresses(
         self, address: int, size: int, pattern: int, shuffled: bool
     ) -> list[int]:
-        """Flat address of every byte the access touches, in order."""
+        """Flat address of every byte the access touches, in order.
+
+        Raises :class:`AddressError` if any of them lies outside
+        ``[0, capacity_bytes)``, before the access logs or writes
+        anything.
+        """
         line_address = address & ~(self.line_bytes - 1)
         offset = address - line_address
         if offset + size > self.line_bytes:
@@ -200,12 +205,18 @@ class MemoryOracle:
                 pattern=pattern,
             )
         if pattern == 0 or not shuffled:
-            return list(range(address, address + size))
-        slots = self.gather_addresses(line_address, pattern)
-        out = []
-        for position in range(offset, offset + size):
-            slot, within = divmod(position, self.column_bytes)
-            out.append(slots[slot] + within)
+            out = list(range(address, address + size))
+        else:
+            slots = self.gather_addresses(line_address, pattern)
+            out = []
+            for position in range(offset, offset + size):
+                slot, within = divmod(position, self.column_bytes)
+                out.append(slots[slot] + within)
+        if out and (min(out) < 0 or max(out) >= self.capacity_bytes):
+            raise AddressError(
+                "access outside oracle memory", address=address,
+                pattern=pattern,
+            )
         return out
 
     # ------------------------------------------------------------------

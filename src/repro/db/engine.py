@@ -12,6 +12,8 @@ check against :class:`~repro.db.table.VecOracleTable` — a numpy oracle
 whose algorithms are independent of the fast engines' kernels, so the
 comparison stays a real check while paper-scale verification runs in
 milliseconds (``repro check oracles`` holds the two oracles equal).
+Both fast sides hold the read-only master plus the cells written, and
+compare those written cells and values, never whole tables.
 Every driver stamps per-stage wall times (setup / generate / run /
 verify) onto ``result.stages``.
 """
@@ -84,6 +86,16 @@ def _vectorized(layout: StorageLayout, mode: str) -> bool:
     return True
 
 
+def _same_writes(fast, oracle) -> bool:
+    """True when two (written cells, values) overlays are equal.
+
+    The fast engine and its oracle start from the same read-only
+    master, so equal overlays mean equal final tables; a write that
+    stored a cell's old value still counts as a written cell.
+    """
+    return all(np.array_equal(a, b) for a, b in zip(fast, oracle, strict=True))
+
+
 @dataclass
 class TransactionRun:
     """Outcome of a transaction-only run (Figure 9 point)."""
@@ -129,10 +141,8 @@ def run_transactions(
         with timer.stage("verify"):
             oracle = VecOracleTable(schema, rows)
             expected_reads = oracle.apply_all(txns)
-            verified = bool(
-                np.array_equal(outcome.observed, expected_reads)
-                and np.array_equal(outcome.final_rows, oracle.rows)
-            )
+            verified = (np.array_equal(outcome.observed, expected_reads)
+                        and _same_writes(outcome.written, oracle.written))
         timer.attach(outcome.result)
         return TransactionRun(layout.name, mix.label, outcome.result,
                               verified, outcome.component_stats)
@@ -411,10 +421,8 @@ def _run_htap_phased(
             oracle.apply_all(txns_a)
             expected_mid = oracle.column_sum(workload.analytics)
             oracle.apply_all(txns_b)
-            verified = bool(
-                outcome.answer == expected_mid
-                and np.array_equal(outcome.final_rows, oracle.rows)
-            )
+            verified = (outcome.answer == expected_mid
+                        and _same_writes(outcome.written, oracle.written))
         timer.attach(outcome.result)
         return HTAPRun(
             layout.name, prefetch, 0, txn_count, 0.0, outcome.result,

@@ -6,9 +6,10 @@ the same workload specifications (transactions, column sums) directly
 to a list-of-lists, independent of any layout or timing model.
 
 :class:`VecOracleTable` is its columnar numpy twin (phase 3): the same
-semantics over an ``(num_tuples, num_fields)`` int64 array, with batch
-``apply_all`` and vectorized analytics, so oracle verification no
-longer dominates paper-scale fast-mode runs. The two implementations
+semantics over a read-only ``(num_tuples, num_fields)`` int64 master
+plus the cells written since, with batch ``apply_all`` and vectorized
+analytics, so oracle verification no longer dominates paper-scale
+fast-mode runs and never copies a paper-scale table. The two implementations
 deliberately share **no** code with each other or with the fast
 engines in :mod:`repro.vec.db` — the scalar table stays the reference,
 the vectorized table uses sort/searchsorted algorithms, and the fast
@@ -102,41 +103,89 @@ def table_digest(rows) -> str:
 class VecOracleTable:
     """Columnar ground truth: :class:`OracleTable` semantics in numpy.
 
-    Contents live in a writable ``(num_tuples, num_fields)`` int64
-    array (``self.data``); :meth:`apply_all` consumes a whole
-    transaction batch at once. Observed reads are resolved by sorting
-    the batch's writes by (cell, program position) and binary-searching
-    each read for the latest earlier write to its cell — an algorithm
-    with nothing in common with either the scalar oracle's sequential
-    replay or the fast engine's running-max kernel.
+    The contents are a read-only ``(num_tuples, num_fields)`` int64
+    master plus the cells written since, kept sorted and unique with
+    their current values (:attr:`written`). A read-only int64 array,
+    such as :func:`~repro.db.workload.make_rows_array`'s master, is used
+    as is; any other input is copied once.
+
+    :meth:`apply_all` consumes a whole transaction batch at once.
+    Observed reads are resolved by sorting the batch's writes by (cell,
+    program position) and binary-searching each read for the latest
+    earlier write to its cell, then the written cells, then the master
+    — an algorithm with nothing in common with either the scalar
+    oracle's sequential replay or the fast engine's running-max kernel.
+    :meth:`apply_all` and :meth:`column_sum` never build the full
+    table; :attr:`rows`, :meth:`snapshot`, :meth:`digest`,
+    :meth:`filter` and :meth:`groupby` build it on demand.
     """
 
     def __init__(self, schema: TableSchema, rows) -> None:
         self.schema = schema
-        data = np.array(rows, dtype=np.int64)
-        if data.size == 0:
-            data = data.reshape(0, schema.num_fields)
-        if data.ndim != 2 or data.shape[1] != schema.num_fields:
+        if (isinstance(rows, np.ndarray) and rows.dtype == np.int64
+                and not rows.flags.writeable):
+            master = rows
+        else:
+            master = np.array(rows, dtype=np.int64)
+        if master.size == 0:
+            master = master.reshape(0, schema.num_fields)
+        if master.ndim != 2 or master.shape[1] != schema.num_fields:
             raise WorkloadError(
-                f"rows shape {data.shape} does not match "
+                f"rows shape {master.shape} does not match "
                 f"{schema.num_fields}-field schema"
             )
-        self.data = data
+        self._master = master
+        self._flat = master.reshape(-1)
+        self._cells = np.empty(0, dtype=np.int64)
+        self._values = np.empty(0, dtype=np.int64)
 
     @property
     def num_tuples(self) -> int:
-        return int(self.data.shape[0])
+        return int(self._master.shape[0])
+
+    @property
+    def written(self) -> tuple[np.ndarray, np.ndarray]:
+        """The cells written so far (``tuple * num_fields + field``,
+        sorted and unique) and their current values."""
+        return self._cells, self._values
 
     @property
     def rows(self) -> np.ndarray:
-        return self.data
+        """The current contents as a new ``(num_tuples, num_fields)``
+        array."""
+        table = self._master.copy()
+        table.reshape(-1)[self._cells] = self._values
+        return table
+
+    def _current(self, cells: np.ndarray) -> np.ndarray:
+        """The current value of each cell: its written value, else the
+        master's."""
+        values = self._flat[cells]
+        if self._cells.size:
+            at = np.minimum(np.searchsorted(self._cells, cells),
+                            self._cells.size - 1)
+            hit = self._cells[at] == cells
+            values[hit] = self._values[at[hit]]
+        return values
+
+    def _write(self, cells: np.ndarray, values: np.ndarray) -> None:
+        """Record the final values of a batch's written ``cells`` (sorted,
+        unique) over the cells written before it."""
+        at = np.minimum(np.searchsorted(cells, self._cells), cells.size - 1)
+        kept = cells[at] != self._cells
+        merged_cells = np.concatenate((self._cells[kept], cells))
+        merged_values = np.concatenate((self._values[kept], values))
+        order = np.argsort(merged_cells, kind="stable")
+        self._cells = merged_cells[order]
+        self._values = merged_values[order]
 
     def apply_all(self, txns) -> np.ndarray:
         """Apply a transaction batch; returns observed reads as int64.
 
         Accepts :class:`~repro.db.workload.TransactionArrays` (the
         batch form) or a ``list[Transaction]`` (flattened here, for
-        tests and differential checks).
+        tests and differential checks). Raises :class:`WorkloadError`
+        for a tuple or field outside the table.
         """
         if isinstance(txns, TransactionArrays):
             tuple_ids = txns.tuple_ids
@@ -160,6 +209,10 @@ class VecOracleTable:
             return np.empty(0, dtype=np.int64)
 
         num_fields = self.schema.num_fields
+        for name, ids, limit in (("tuple", tuple_ids, self.num_tuples),
+                                 ("field", fields, num_fields)):
+            if int(ids.min()) < 0 or int(ids.max()) >= limit:
+                raise WorkloadError(f"transaction {name} outside the table")
         cells = tuple_ids * num_fields + fields
         positions = np.arange(cells.size, dtype=np.int64)
 
@@ -176,7 +229,7 @@ class VecOracleTable:
         read_mask = ~writes
         read_cells = cells[read_mask]
         read_pos = positions[read_mask]
-        observed = self.data.reshape(-1)[read_cells].copy()
+        observed = self._current(read_cells)
         if sorted_cells.size and read_cells.size:
             # Encode (cell, position) as one sortable key; position is
             # bounded by the batch length, so the encoding is exact.
@@ -193,21 +246,27 @@ class VecOracleTable:
             last = np.flatnonzero(
                 np.append(sorted_cells[1:] != sorted_cells[:-1], True)
             )
-            self.data.reshape(-1)[sorted_cells[last]] = sorted_values[last]
+            self._write(sorted_cells[last], sorted_values[last])
         return observed
 
     def column_sum(self, query: AnalyticsQuery) -> int:
-        """The analytics answer: exact sum of the queried columns."""
+        """The analytics answer: exact sum of the queried columns, the
+        master's corrected by the written cells."""
+        num_fields = self.schema.num_fields
         total = 0
         for field in query.fields:
             self.schema.validate_field(field)
-            total += _exact_sum(self.data[:, field])
+            mine = self._cells % num_fields == field
+            total += (_exact_sum(self._master[:, field])
+                      + _exact_sum(self._values[mine])
+                      - _exact_sum(self._flat[self._cells[mine]]))
         return total
 
     def filter(self, query: FilterQuery) -> FilterResult:
         """Vectorized :func:`~repro.db.queries.oracle_filter` semantics."""
         self.schema.validate_field(query.predicate_field)
-        predicate = self.data[:, query.predicate_field]
+        table = self.rows
+        predicate = table[:, query.predicate_field]
         threshold = np.int64(query.threshold)
         if query.op.value == "<":
             mask = predicate < threshold
@@ -219,15 +278,16 @@ class VecOracleTable:
         if query.value_field is None:
             return FilterResult(matches=matches, aggregate=matches)
         self.schema.validate_field(query.value_field)
-        aggregate = _exact_sum(self.data[mask, query.value_field])
+        aggregate = _exact_sum(table[mask, query.value_field])
         return FilterResult(matches=matches, aggregate=aggregate)
 
     def groupby(self, query: GroupByQuery) -> dict[int, int]:
         """Vectorized :func:`~repro.db.queries.oracle_groupby` semantics."""
         self.schema.validate_field(query.key_field)
         self.schema.validate_field(query.value_field)
-        keys = self.data[:, query.key_field]
-        values = self.data[:, query.value_field]
+        table = self.rows
+        keys = table[:, query.key_field]
+        values = table[:, query.value_field]
         uniques, inverse = np.unique(keys, return_inverse=True)
         # Exact grouped sums via the same hi/lo split as _exact_sum;
         # np.add.at is unbuffered, so duplicate keys accumulate.
@@ -242,8 +302,8 @@ class VecOracleTable:
 
     def digest(self) -> str:
         """Stable sha256 of the current contents."""
-        return table_digest(self.data)
+        return table_digest(self.rows)
 
     def snapshot(self) -> list[list[int]]:
         """Deep copy of the current contents, in scalar-oracle form."""
-        return self.data.tolist()
+        return self.rows.tolist()

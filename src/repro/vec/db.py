@@ -18,6 +18,12 @@ replay the *same* stream with no machine:
   read at :func:`~repro.vec.kernels.loaded_addresses`, so a bug in the
   gather math breaks verification instead of hiding.
 
+The table is never copied. Its state is the read-only master the
+caller passes (:func:`~repro.db.workload.make_rows_array`) plus an
+overlay: the sorted, unique cells the transactions wrote and their
+final values. Everything is read through master-plus-overlay, and the
+overlay is the run's final table state.
+
 The engine dispatch offers fast mode for the three standard layouts
 only.
 """
@@ -43,27 +49,37 @@ from repro.vec.kernels import loaded_addresses
 from repro.vm.pattmalloc import PattAllocator
 
 
+#: Written cells and their values: two int64 arrays, the cells sorted
+#: and unique.
+Overlay = tuple[np.ndarray, np.ndarray]
+
+_NO_WRITES: Overlay = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+
+
 @dataclass
 class FastDbOutcome:
     """What a vectorized DB driver hands back to the engine dispatch.
 
-    ``observed`` and ``final_rows`` are int64 ndarrays (phase 3): the
-    engine verifies them against the vectorized oracle with
-    ``np.array_equal``, so nothing is ever materialized to Python
-    lists on the fast path.
+    ``observed`` is an int64 ndarray of the values the reads saw, and
+    ``written`` the overlay of the run's final table state: the sorted
+    cells its transactions wrote and each one's final value. The
+    engine verifies both against the vectorized oracle with
+    ``np.array_equal``. Both sides start from the same read-only
+    master, so equal overlays mean equal final tables.
     """
 
     result: RunResult
     component_stats: dict
     observed: np.ndarray | None = None
-    final_rows: np.ndarray | None = None
+    written: Overlay | None = None
     answer: int | None = None
 
 
 def _attach(layout: StorageLayout, num_tuples: int, config: SystemConfig,
             rows) -> np.ndarray:
     """Attach ``layout`` as ``config``'s System would place it; returns
-    the table contents flattened to cells."""
+    the table contents flattened to cells (a view of a read-only int64
+    master, not a copy)."""
     geometry = config.geometry
     layout.attach(
         PattAllocator(
@@ -83,23 +99,30 @@ def _attach(layout: StorageLayout, num_tuples: int, config: SystemConfig,
     return flat
 
 
-def _last_write_wins(
-    flat: np.ndarray, cells: np.ndarray, writes: np.ndarray, values: np.ndarray
-):
-    """Vectorized transaction semantics over flattened table cells.
+def _last_write_wins(flat: np.ndarray, overlay: Overlay, cells: np.ndarray,
+                     writes: np.ndarray, values: np.ndarray):
+    """Vectorized transaction semantics over ``flat`` with ``overlay``
+    laid over it.
 
     For each operation, the value it observes is the value of the last
-    *write* to the same cell at an earlier stream position (or the
-    initial cell contents). Returns ``(observed_reads, final_flat)``.
+    *write* to the same cell at an earlier stream position, or else the
+    cell's value in the overlay, or else in ``flat``. Returns
+    ``(observed_reads, overlay)``, the second the input overlay with
+    this stream's final writes laid over it.
 
-    The trick: sort stable by cell, encode each op as
-    ``cell * (N + 1) + key`` with ``key = position + 1`` for writes and
-    ``0`` for reads, and take a running max — within one cell's group
-    the running max always decodes to the latest write seen so far.
+    The overlay enters as writes ahead of the stream. Then: sort stable
+    by cell, encode each op as ``cell * (N + 1) + key`` with
+    ``key = position + 1`` for writes and ``0`` for reads, and take a
+    running max — within one cell's group the running max always
+    decodes to the latest write seen so far.
     """
+    base_cells, base_values = overlay
+    cells = np.concatenate((base_cells, cells))
+    writes = np.concatenate((np.ones(base_cells.size, dtype=bool), writes))
+    values = np.concatenate((base_values, values))
     total = int(cells.size)
     if total == 0:
-        return np.array([], dtype=np.int64), flat.copy()
+        return np.empty(0, dtype=np.int64), overlay
     order = np.argsort(cells, kind="stable")
     sorted_cells = cells[order]
     keys = np.where(writes, np.arange(total, dtype=np.int64) + 1, 0)
@@ -115,27 +138,37 @@ def _last_write_wins(
     observed_sorted[order] = seen
     observed = observed_sorted[~writes]
 
-    final_flat = flat.copy()
     group_end = np.ones(total, dtype=bool)
     group_end[:-1] = sorted_cells[1:] != sorted_cells[:-1]
     end_writes = last_write[group_end]
-    end_cells = sorted_cells[group_end]
     written = end_writes >= 0
-    final_flat[end_cells[written]] = values[end_writes[written]]
-    return observed, final_flat
+    return observed, (sorted_cells[group_end][written],
+                      values[end_writes[written]])
 
 
-def _apply(layout: StorageLayout, flat: np.ndarray, stream: AccessStream):
-    """(observed reads, final cells) of a transaction stream over ``flat``."""
-    return _last_write_wins(flat, layout.cells(stream.addresses),
+def _apply(layout: StorageLayout, flat: np.ndarray, overlay: Overlay,
+           stream: AccessStream):
+    """(observed reads, overlay after it) of a transaction stream."""
+    return _last_write_wins(flat, overlay, layout.cells(stream.addresses),
                             stream.writes, stream.values)
 
 
 def _scan_answer(layout: StorageLayout, stream: AccessStream,
-                 flat: np.ndarray, config: SystemConfig) -> int:
-    """The sum of the values a scan stream reads from ``flat``."""
-    loaded = loaded_addresses(stream.addresses, stream.patterns, config)
-    return int(flat[layout.cells(loaded)].sum())
+                 flat: np.ndarray, overlay: Overlay,
+                 config: SystemConfig) -> int:
+    """The sum of the values a scan stream reads through ``overlay``."""
+    cells = layout.cells(
+        loaded_addresses(stream.addresses, stream.patterns, config)
+    )
+    values = flat[cells]
+    touched = np.isin(cells, overlay[0])
+    if touched.any():
+        reads = cells[touched]
+        seen, _ = _last_write_wins(flat, overlay, reads,
+                                   np.zeros(reads.size, dtype=bool),
+                                   np.zeros(reads.size, dtype=np.int64))
+        values[touched] = seen
+    return int(values.sum())
 
 
 def _replay(config: SystemConfig, *streams: AccessStream,
@@ -171,12 +204,12 @@ def fast_transactions(
     """Vectorized twin of the event transaction driver."""
     flat = _attach(layout, num_tuples, config, rows)
     stream = layout.transaction_stream(txns)
-    observed, final_flat = _apply(layout, flat, stream)
+    observed, written = _apply(layout, flat, _NO_WRITES, stream)
     return _replay(
         config, stream,
         instructions=_txn_instructions(stream, txns),
         observed=observed,
-        final_rows=final_flat.reshape(num_tuples, layout.schema.num_fields),
+        written=written,
     )
 
 
@@ -193,7 +226,7 @@ def fast_analytics(
     return _replay(
         config, stream,
         instructions=(1 + SCAN_COMPUTE_CYCLES) * len(stream),
-        answer=_scan_answer(layout, stream, flat, config),
+        answer=_scan_answer(layout, stream, flat, _NO_WRITES, config),
     )
 
 
@@ -210,15 +243,16 @@ def fast_htap_phased(
 
     Replays one single-core program — transaction batch A, the
     analytics scan over the mid-run table state, transaction batch B —
-    exactly as the event driver executes it.
+    exactly as the event driver executes it. Batch A's writes are an
+    overlay on the master, read by the scan and by batch B.
     """
     flat = _attach(layout, num_tuples, config, rows)
     a = layout.transaction_stream(txns_a)
     scan = layout.scan_stream(query)
     b = layout.transaction_stream(txns_b)
-    _, mid_flat = _apply(layout, flat, a)
-    answer = _scan_answer(layout, scan, mid_flat, config)
-    _, final_flat = _apply(layout, mid_flat, b)
+    _, mid = _apply(layout, flat, _NO_WRITES, a)
+    answer = _scan_answer(layout, scan, flat, mid, config)
+    _, written = _apply(layout, flat, mid, b)
     return _replay(
         config, a, scan, b,
         instructions=(
@@ -226,5 +260,5 @@ def fast_htap_phased(
             + (1 + SCAN_COMPUTE_CYCLES) * len(scan)
         ),
         answer=answer,
-        final_rows=final_flat.reshape(num_tuples, layout.schema.num_fields),
+        written=written,
     )

@@ -30,8 +30,10 @@ from repro.vec.hier import DirtyReplay
 from repro.vec.kernels import loaded_addresses
 from repro.vm.pattmalloc import PattAllocator
 
-#: Accesses evaluated at a time when recomputing C.
-_SLICE = 1 << 18
+#: Accesses evaluated at a time when recomputing C. A slice's lane and
+#: gather arrays take up to about 200 B per access (the GS kernel), so
+#: 2**15 keeps the recompute under 7 MB (2**18 took 37 MB).
+_SLICE = 1 << 15
 
 
 def _read(matrix, image: np.ndarray, addresses: np.ndarray) -> np.ndarray:

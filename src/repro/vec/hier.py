@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.cpu.stream import per_access
 from repro.dram.address import AddressMapping
 from repro.energy.model import system_energy
 from repro.errors import ConfigError, ProtocolError
@@ -236,6 +237,10 @@ class DirtyReplay:
         and :class:`ProtocolError` for a negative pattern, a pattern of
         ``line_bytes`` or more, or a line address that is not
         line-aligned.
+
+        The batch is walked through :func:`~repro.cpu.stream.per_access`,
+        a slice at a time: beyond the arrays it is given, a replay holds
+        one int64 key per access and one slice of Python values.
         """
         lines = np.asarray(line_addresses, dtype=np.int64)
         pattern_array = np.asarray(patterns, dtype=np.int64)
@@ -244,10 +249,7 @@ class DirtyReplay:
         shuffle_array = np.asarray(shuffled, dtype=bool)
         self._check_batch(lines, pattern_array, alt_array, write_array,
                           shuffle_array)
-        keys = (lines | pattern_array).tolist()
-        stores = write_array.tolist()
-        alts = alt_array.tolist()
-        shs = shuffle_array.tolist()
+        keys = lines | pattern_array
 
         c = self.counts
         l1_hits = c["l1_hits"]; l1_misses = c["l1_misses"]
@@ -390,7 +392,8 @@ class DirtyReplay:
 
         prev_key = None
         entry = None  # the L1 entry of prev_key
-        for key, is_write, alt, shuffled_flag in zip(keys, stores, alts, shs):
+        for key, is_write, alt, shuffled_flag in per_access(
+                keys, write_array, alt_array, shuffle_array):
             if key == prev_key:
                 # A repeat of the previous key: an L1 hit on the most
                 # recently used line.

@@ -63,6 +63,38 @@ class TestPatternZero:
             oracle.load(oracle.line_bytes - 4, size=8)
 
 
+class TestArchitecturalRange:
+    """``load`` and ``store`` reject what ``read``/``write`` and the
+    machine reject, before logging or writing anything."""
+
+    @pytest.mark.parametrize("kind", ["load", "store"])
+    @pytest.mark.parametrize("where", ["below", "at_capacity"])
+    def test_outside_memory_rejected(self, kind, where):
+        oracle = small_oracle()
+        top = oracle.capacity_bytes - 8
+        oracle.write(top, b"ABCDEFGH")
+        image = oracle.read(0, oracle.capacity_bytes)
+        address = -8 if where == "below" else oracle.capacity_bytes
+        with pytest.raises(AddressError):
+            if kind == "load":
+                oracle.load(address)
+            else:
+                oracle.store(address, b"12345678")
+        assert oracle.log == []
+        assert oracle.read(0, oracle.capacity_bytes) == image
+
+    @pytest.mark.parametrize("address", [-64, "capacity"])
+    def test_gathered_store_outside_memory_rejected(self, address):
+        oracle = small_oracle()
+        if address == "capacity":
+            address = oracle.capacity_bytes
+        image = oracle.read(0, oracle.capacity_bytes)
+        with pytest.raises(AddressError):
+            oracle.store(address, bytes(range(64)), pattern=7, shuffled=True)
+        assert oracle.log == []
+        assert oracle.read(0, oracle.capacity_bytes) == image
+
+
 class TestGatherGeometry:
     @pytest.mark.parametrize("chips", [2, 4, 8, 16])
     def test_gather_matches_analytical_spec(self, chips):

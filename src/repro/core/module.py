@@ -75,6 +75,8 @@ class GSModule(DRAMModule):
         self.pattern_bits = pattern_bits
         self._shuffle_fn: ShuffleFunction | None = shuffle  # read by _build_rank
         self._slots: dict[tuple[int, int, bool], np.ndarray] = {}
+        #: shuffled -> (columns_per_row, chips) pattern-0 slot table
+        self._row_slots: dict[bool, np.ndarray] = {}
         super().__init__(geometry, timing, cpu_per_bus, policy)
         if shuffle is None:
             shuffle = LSBShuffle(stages=ilog2(self.geometry.chips))
@@ -192,9 +194,15 @@ class GSModule(DRAMModule):
         return slots
 
     def _pattern0_slots(self, columns: np.ndarray, shuffled: bool) -> np.ndarray:
-        return np.stack(
-            [self.gather_slots(column, 0, shuffled) for column in columns.tolist()]
-        )
+        table = self._row_slots.get(shuffled)
+        if table is None:
+            table = np.stack([
+                self.gather_slots(column, 0, shuffled)
+                for column in range(self.geometry.columns_per_row)
+            ])
+            table.flags.writeable = False
+            self._row_slots[shuffled] = table
+        return table[columns]
 
     # ------------------------------------------------------------------
     # Functional data movement (overrides add shuffle + patterns)

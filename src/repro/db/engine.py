@@ -12,8 +12,12 @@ check against :class:`~repro.db.table.VecOracleTable` — a numpy oracle
 whose algorithms are independent of the fast engines' kernels, so the
 comparison stays a real check while paper-scale verification runs in
 milliseconds (``repro check oracles`` holds the two oracles equal).
-Both fast sides hold the read-only master plus the cells written, and
-compare those written cells and values, never whole tables.
+Both modes load and verify over the one read-only master
+(:func:`~repro.db.workload.make_rows`) and never copy it whole. Both
+fast sides hold the master plus the cells written, and compare those
+written cells and values. An event run reads the machine's table back
+a slice of tuples at a time and compares each slice with the scalar
+oracle's master and touched rows.
 Every driver stamps per-stage wall times (setup / generate / run /
 verify) onto ``result.stages``.
 """
@@ -34,7 +38,6 @@ from repro.db.workload import (
     TransactionMix,
     generate_transaction_arrays,
     make_rows,
-    make_rows_array,
 )
 from repro.errors import ConfigError, WorkloadError
 from repro.sim.config import (
@@ -86,6 +89,19 @@ def _vectorized(layout: StorageLayout, mode: str) -> bool:
     return True
 
 
+#: Tuples read back per slice when an event run verifies its table.
+_VERIFY_TUPLES = 1 << 16
+
+
+def _table_verified(layout: StorageLayout, oracle: OracleTable) -> bool:
+    """True when the machine's final table equals the oracle's, read
+    back and compared a slice of tuples at a time."""
+    return all(
+        oracle.matches(layout.read_rows(start, start + _VERIFY_TUPLES), start)
+        for start in range(0, layout.num_tuples, _VERIFY_TUPLES)
+    )
+
+
 def _same_writes(fast, oracle) -> bool:
     """True when two (written cells, values) overlays are equal.
 
@@ -123,15 +139,15 @@ def run_transactions(
     """Execute ``count`` transactions of one i-j-k mix on ``layout``."""
     schema = layout.schema
     timer = StageTimer()
+    fast = _vectorized(layout, mode)
+    with timer.stage("generate"):
+        rows = make_rows(schema, num_tuples)
+        txns = generate_transaction_arrays(schema, num_tuples, mix, count,
+                                           seed)
 
-    if _vectorized(layout, mode):
+    if fast:
         from repro.vec.db import fast_transactions
 
-        with timer.stage("generate"):
-            rows = make_rows_array(schema, num_tuples)
-            txns = generate_transaction_arrays(
-                schema, num_tuples, mix, count, seed
-            )
         with timer.stage("setup"):
             config = layout_config(layout, prefetch=prefetch,
                                    **(config_overrides or {}))
@@ -147,10 +163,6 @@ def run_transactions(
         return TransactionRun(layout.name, mix.label, outcome.result,
                               verified, outcome.component_stats)
 
-    with timer.stage("generate"):
-        rows = make_rows(schema, num_tuples)
-        txns = generate_transaction_arrays(schema, num_tuples, mix, count,
-                                           seed)
     with timer.stage("setup"):
         system = system_for(layout, prefetch=prefetch,
                             **(config_overrides or {}))
@@ -164,9 +176,9 @@ def run_transactions(
 
     with timer.stage("verify"):
         oracle = OracleTable(schema, rows)
-        expected_reads = oracle.apply_all(txns.to_transactions())
+        expected_reads = oracle.apply_all(txns)
         verified = (observed == expected_reads
-                    and layout.read_rows() == oracle.rows)
+                    and _table_verified(layout, oracle))
     timer.attach(result)
     return TransactionRun(layout.name, mix.label, result, verified, stats)
 
@@ -195,12 +207,13 @@ def run_analytics(
     """Sum the queried columns on ``layout``."""
     schema = layout.schema
     timer = StageTimer()
+    fast = _vectorized(layout, mode)
+    with timer.stage("generate"):
+        rows = make_rows(schema, num_tuples)
 
-    if _vectorized(layout, mode):
+    if fast:
         from repro.vec.db import fast_analytics
 
-        with timer.stage("generate"):
-            rows = make_rows_array(schema, num_tuples)
         with timer.stage("setup"):
             config = layout_config(layout, prefetch=prefetch,
                                    **(config_overrides or {}))
@@ -215,8 +228,6 @@ def run_analytics(
             outcome.answer, verified, outcome.component_stats,
         )
 
-    with timer.stage("generate"):
-        rows = make_rows(schema, num_tuples)
     with timer.stage("setup"):
         system = system_for(layout, prefetch=prefetch,
                             **(config_overrides or {}))
@@ -338,7 +349,7 @@ def run_htap(
 
     timer = StageTimer()
     with timer.stage("generate"):
-        rows = make_rows_array(schema, num_tuples)
+        rows = make_rows(schema, num_tuples)
     with timer.stage("setup"):
         system = system_for(layout, cores=2, prefetch=prefetch,
                             **(config_overrides or {}))
@@ -394,20 +405,21 @@ def _run_htap_phased(
     count_a = (txn_count + 1) // 2
     count_b = txn_count - count_a
     timer = StageTimer()
+    fast = _vectorized(layout, mode)
+    with timer.stage("generate"):
+        rows = make_rows(schema, num_tuples)
+        txns_a = generate_transaction_arrays(
+            schema, num_tuples, workload.txn_mix, count_a,
+            seed=workload.txn_seed,
+        )
+        txns_b = generate_transaction_arrays(
+            schema, num_tuples, workload.txn_mix, count_b,
+            seed=workload.txn_seed + 1,
+        )
 
-    if _vectorized(layout, mode):
+    if fast:
         from repro.vec.db import fast_htap_phased
 
-        with timer.stage("generate"):
-            rows = make_rows_array(schema, num_tuples)
-            txns_a = generate_transaction_arrays(
-                schema, num_tuples, workload.txn_mix, count_a,
-                seed=workload.txn_seed,
-            )
-            txns_b = generate_transaction_arrays(
-                schema, num_tuples, workload.txn_mix, count_b,
-                seed=workload.txn_seed + 1,
-            )
         with timer.stage("setup"):
             config = layout_config(layout, prefetch=prefetch,
                                    **(config_overrides or {}))
@@ -429,16 +441,6 @@ def _run_htap_phased(
             verified, outcome.answer, outcome.component_stats,
         )
 
-    with timer.stage("generate"):
-        rows = make_rows(schema, num_tuples)
-        txns_a = generate_transaction_arrays(
-            schema, num_tuples, workload.txn_mix, count_a,
-            seed=workload.txn_seed,
-        )
-        txns_b = generate_transaction_arrays(
-            schema, num_tuples, workload.txn_mix, count_b,
-            seed=workload.txn_seed + 1,
-        )
     with timer.stage("setup"):
         system = system_for(layout, prefetch=prefetch,
                             **(config_overrides or {}))
@@ -459,11 +461,11 @@ def _run_htap_phased(
     stats = component_snapshot(system)
     with timer.stage("verify"):
         oracle = OracleTable(schema, rows)
-        oracle.apply_all(txns_a.to_transactions())
+        oracle.apply_all(txns_a)
         expected_mid = oracle.column_sum(workload.analytics)
-        oracle.apply_all(txns_b.to_transactions())
+        oracle.apply_all(txns_b)
         verified = (total[0] == expected_mid
-                    and layout.read_rows() == oracle.rows)
+                    and _table_verified(layout, oracle))
     analytics_cycles = result.cycles
     if analytics_cycles > 0:
         seconds = analytics_cycles / (cpu_ghz * 1e9)

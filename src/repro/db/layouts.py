@@ -54,8 +54,20 @@ def _u64(data: bytes) -> int:
 
 
 def _u64_table(rows, num_fields: int) -> np.ndarray:
-    """``rows`` (lists or an array) as a little-endian u64 table."""
+    """``rows`` (lists or an array) as a little-endian u64 table.
+
+    An int64 array, such as the read-only master, is viewed, not
+    copied.
+    """
+    if isinstance(rows, np.ndarray) and rows.dtype == np.int64:
+        rows = rows.view("<u8")
     return np.asarray(rows, dtype="<u8").reshape(-1, num_fields)
+
+
+def _raw(array: np.ndarray) -> np.ndarray:
+    """A 1-D array's bytes as a uint8 view (copied only when the
+    array is strided, as one column of a row-major table is)."""
+    return np.ascontiguousarray(array).view(np.uint8)
 
 
 class StorageLayout:
@@ -103,9 +115,15 @@ class StorageLayout:
         """Functionally load table contents (no simulated time)."""
         raise NotImplementedError
 
-    def read_rows(self) -> list[list[int]]:
-        """Functionally read the whole table back (oracle comparison)."""
+    def read_rows(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Functionally read tuples ``start`` to ``stop`` back (the whole
+        table by default) as a ``(tuples, num_fields)`` int64 array."""
         raise NotImplementedError
+
+    def _span(self, start: int, stop: int | None) -> tuple[int, int]:
+        """``[start, stop)`` clipped to the table."""
+        stop = self.num_tuples if stop is None else min(stop, self.num_tuples)
+        return start, max(stop, start)
 
     # -- address arithmetic ---------------------------------------------
     def field_addresses(self, tuple_ids, fields) -> np.ndarray:
@@ -228,13 +246,15 @@ class RowStore(StorageLayout):
 
     def load_rows(self, rows) -> None:
         table = _u64_table(rows, self.schema.num_fields)
-        self._require_system().mem_write(self.base, table.tobytes())
+        self._require_system().mem_write(self.base, _raw(table.reshape(-1)))
 
-    def read_rows(self) -> list[list[int]]:
+    def read_rows(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         system = self._require_system()
-        raw = system.mem_read(self.base, self.num_tuples * self.schema.tuple_bytes)
-        return _u64_table(np.frombuffer(raw, dtype="<u8"),
-                            self.schema.num_fields).tolist()
+        start, stop = self._span(start, stop)
+        tuple_bytes = self.schema.tuple_bytes
+        raw = system.mem_read(self.base + start * tuple_bytes,
+                              (stop - start) * tuple_bytes)
+        return np.frombuffer(raw, dtype="<i8").reshape(-1, self.schema.num_fields)
 
 
 class ColumnStore(StorageLayout):
@@ -270,16 +290,19 @@ class ColumnStore(StorageLayout):
         system = self._require_system()
         table = _u64_table(rows, self.schema.num_fields)
         for field, base in enumerate(self.column_bases.tolist()):
-            system.mem_write(base, table[:, field].tobytes())
+            system.mem_write(base, _raw(table[:, field]))
 
-    def read_rows(self) -> list[list[int]]:
+    def read_rows(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         system = self._require_system()
-        size = self.num_tuples * self.schema.field_bytes
+        start, stop = self._span(start, stop)
+        field_bytes = self.schema.field_bytes
         columns = [
-            np.frombuffer(system.mem_read(base, size), dtype="<u8")
+            np.frombuffer(system.mem_read(base + start * field_bytes,
+                                          (stop - start) * field_bytes),
+                          dtype="<i8")
             for base in self.column_bases.tolist()
         ]
-        return np.stack(columns, axis=1).tolist()
+        return np.stack(columns, axis=1)
 
 
 class GSDRAMStore(RowStore):

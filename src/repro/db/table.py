@@ -3,7 +3,10 @@
 The simulator moves real bytes; :class:`OracleTable` is the plain-
 Python ground truth the experiment drivers compare against. It applies
 the same workload specifications (transactions, column sums) directly
-to a list-of-lists, independent of any layout or timing model.
+to the table, one operation at a time, independent of any layout or
+timing model. It never writes its master: the rows transactions touch
+are copied into a dict of Python lists, so a paper-scale event run
+verifies over the read-only master without a whole-table list.
 
 :class:`VecOracleTable` is its columnar numpy twin (phase 3): the same
 semantics over a read-only ``(num_tuples, num_fields)`` int64 master
@@ -20,30 +23,62 @@ real check, not an identity (see ``repro check oracles``).
 from __future__ import annotations
 
 import hashlib
+from typing import Iterator
 
 import numpy as np
 
+from repro.cpu.stream import per_access
 from repro.db.queries import FilterQuery, FilterResult, GroupByQuery
 from repro.db.schema import TableSchema
 from repro.db.workload import AnalyticsQuery, Transaction, TransactionArrays
 from repro.errors import WorkloadError
 
+#: Rows of an array master turned into lists at a time.
+_SLICE = 4096
+
 
 class OracleTable:
-    """Ground-truth table contents and query semantics."""
+    """Ground-truth table contents and query semantics.
 
-    def __init__(self, schema: TableSchema, rows: list[list[int]]) -> None:
+    The contents are a master the table never writes plus a
+    copy-on-touch overlay: the first transaction to touch a tuple
+    copies its row into a Python list, and every later read and write
+    of that tuple goes to the copy. A read-only array master, such as
+    :func:`~repro.db.workload.make_rows`', is used as is; any other
+    input is copied once. :attr:`rows` and :meth:`snapshot` build the
+    list-of-lists form only when asked.
+    """
+
+    def __init__(self, schema: TableSchema, rows) -> None:
         self.schema = schema
-        self.rows = [list(row) for row in rows]
+        if isinstance(rows, np.ndarray):
+            if rows.flags.writeable:
+                rows = rows.copy()
+                rows.setflags(write=False)
+            self._master = rows
+        else:
+            self._master = [list(row) for row in rows]
+        self._touched: dict[int, list[int]] = {}
 
     @property
     def num_tuples(self) -> int:
-        return len(self.rows)
+        return len(self._master)
+
+    def _row(self, tuple_id: int) -> list[int]:
+        """The tuple's row in the overlay, copied on its first touch."""
+        row = self._touched.get(tuple_id)
+        if row is None:
+            if not 0 <= tuple_id < len(self._master):
+                raise WorkloadError(f"tuple {tuple_id} outside the table")
+            row = self._master[tuple_id]
+            row = row.tolist() if isinstance(row, np.ndarray) else list(row)
+            self._touched[tuple_id] = row
+        return row
 
     def apply_transaction(self, txn: Transaction) -> list[int]:
         """Apply one transaction; returns the values its reads observed."""
         observed = []
-        row = self.rows[txn.tuple_id]
+        row = self._row(txn.tuple_id)
         for op in txn.ops:
             if op.write:
                 row[op.field] = op.value
@@ -51,24 +86,79 @@ class OracleTable:
                 observed.append(row[op.field])
         return observed
 
-    def apply_all(self, txns: list[Transaction]) -> list[int]:
-        """Apply transactions in order; returns all observed read values."""
+    def apply_all(self, txns) -> list[int]:
+        """Apply transactions in order; returns all observed read values.
+
+        Accepts a ``list[Transaction]`` or a
+        :class:`~repro.db.workload.TransactionArrays`, walked one
+        operation at a time without building transaction objects.
+        """
+        if not isinstance(txns, TransactionArrays):
+            observed = []
+            for txn in txns:
+                observed.extend(self.apply_transaction(txn))
+            return observed
         observed = []
-        for txn in txns:
-            observed.extend(self.apply_transaction(txn))
+        last, row = None, None
+        for tuple_id, field, write, value in per_access(
+            txns.tuple_ids, txns.fields, txns.writes, txns.values
+        ):
+            if tuple_id != last:
+                row = self._row(tuple_id)
+                last = tuple_id
+            if write:
+                row[field] = value
+            else:
+                observed.append(row[field])
         return observed
+
+    def _current_rows(self) -> Iterator[list[int]]:
+        """Every row's current contents in tuple order; untouched rows
+        come from the master, a slice at a time."""
+        touched = self._touched
+        master = self._master
+        for start in range(0, len(master), _SLICE):
+            part = master[start : start + _SLICE]
+            if isinstance(part, np.ndarray):
+                part = part.tolist()
+            for tuple_id, row in enumerate(part, start):
+                yield touched.get(tuple_id, row)
+
+    @property
+    def rows(self) -> list[list[int]]:
+        """The current contents as a new list-of-lists."""
+        return [list(row) for row in self._current_rows()]
 
     def column_sum(self, query: AnalyticsQuery) -> int:
         """The analytics answer: sum of the queried columns."""
-        total = 0
         for field in query.fields:
             self.schema.validate_field(field)
-            total += sum(row[field] for row in self.rows)
-        return total
+        return sum(row[field] for row in self._current_rows()
+                   for field in query.fields)
+
+    def matches(self, block: np.ndarray, start: int = 0) -> bool:
+        """True when ``block``, the table's rows from ``start`` on as a
+        2-D array, equals the current contents there.
+
+        Untouched rows are compared with the master, touched rows with
+        the overlay; no expected table is built.
+        """
+        stop = start + len(block)
+        master = np.asarray(self._master[start:stop], dtype=np.int64)
+        master = master.reshape(-1, self.schema.num_fields)
+        if block.shape != master.shape:
+            return False
+        differ = np.flatnonzero((block != master).any(axis=1)) + start
+        touched = self._touched
+        if any(tuple_id not in touched for tuple_id in differ.tolist()):
+            return False
+        return all(block[tuple_id - start].tolist() == row
+                   for tuple_id, row in touched.items()
+                   if start <= tuple_id < stop)
 
     def snapshot(self) -> list[list[int]]:
         """Deep copy of the current contents."""
-        return [list(row) for row in self.rows]
+        return self.rows
 
 
 def _exact_sum(values: np.ndarray) -> int:
@@ -106,8 +196,8 @@ class VecOracleTable:
     The contents are a read-only ``(num_tuples, num_fields)`` int64
     master plus the cells written since, kept sorted and unique with
     their current values (:attr:`written`). A read-only int64 array,
-    such as :func:`~repro.db.workload.make_rows_array`'s master, is used
-    as is; any other input is copied once.
+    such as :func:`~repro.db.workload.make_rows`' master, is used as
+    is; any other input is copied once.
 
     :meth:`apply_all` consumes a whole transaction batch at once.
     Observed reads are resolved by sorting the batch's writes by (cell,

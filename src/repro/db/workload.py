@@ -16,11 +16,11 @@ Workloads are layout-independent *specifications*; the layouts in
 
 Generation is vectorized (phase 3): the canonical transaction stream
 for a (schema, num_tuples, mix, count, seed) tuple is drawn in batch
-with numpy (:func:`generate_transaction_arrays`), and the table master
-copy is a memoized read-only numpy array (:func:`make_rows_array`).
-:func:`generate_transactions` / :func:`make_rows` derive the
-object/list forms the scalar oracle consumes from the same draws, so
-both execution modes always see the same workload.
+with numpy (:func:`generate_transaction_arrays`), and the table is a
+memoized read-only numpy master (:func:`make_rows`) that both
+execution modes load and verify against without copying.
+:func:`generate_transactions` derives the object form from the same
+draws for callers that want per-transaction objects.
 """
 
 from __future__ import annotations
@@ -97,11 +97,9 @@ class TransactionArrays:
     The columnar twin of ``list[Transaction]``: operation ``p`` touches
     field ``fields[p]`` of tuple ``tuple_ids[p]``; ``writes[p]`` marks
     stores and ``values[p]`` carries the stored value (0 for reads).
-    The layouts' transaction streams and the vectorized oracle
-    (:class:`~repro.db.table.VecOracleTable`) consume this form
+    The layouts' transaction streams and both oracles consume this form
     directly; :meth:`to_transactions` materializes the object form for
-    the scalar :class:`~repro.db.table.OracleTable`. All arrays are
-    read-only views.
+    callers that want it. All arrays are read-only views.
     """
 
     mix: TransactionMix
@@ -218,8 +216,8 @@ def generate_transactions(
     """Deterministic transaction stream for one i-j-k mix.
 
     The object form of :func:`generate_transaction_arrays` — same
-    draws, same program order — consumed by the scalar oracle and any
-    caller that wants per-transaction objects.
+    draws, same program order — for any caller that wants
+    per-transaction objects.
     """
     return generate_transaction_arrays(
         schema, num_tuples, mix, count, seed
@@ -253,14 +251,13 @@ class HTAPWorkload:
 
 @functools.lru_cache(maxsize=4)
 def _rows_master(schema: TableSchema, num_tuples: int, seed: int) -> np.ndarray:
-    """Immutable master copy of one seeded table, as a numpy array.
+    """One seeded table, drawn once and memoised.
 
     A figure sweep generates the *same* table once per layout (and the
     fast path once more for its event twin); at paper scale (1M x 8)
-    the seeded generation dwarfs a copy, so memoise one batched RNG
-    draw and let :func:`make_rows` / :func:`make_rows_array` hand out
-    the views each caller needs. The array is marked read-only — every
-    mutable consumer copies.
+    the seeded generation dwarfs a lookup, so one batched RNG draw is
+    shared. The array is marked read-only, so every consumer can hold
+    it without a copy.
     """
     rng = np.random.default_rng(seed)
     rows = rng.integers(1 << 32, size=(num_tuples, schema.num_fields),
@@ -269,16 +266,13 @@ def _rows_master(schema: TableSchema, num_tuples: int, seed: int) -> np.ndarray:
     return rows
 
 
-def make_rows_array(
-    schema: TableSchema, num_tuples: int, seed: int = 1
-) -> np.ndarray:
-    """Deterministic table contents as a read-only (n, fields) array."""
+def make_rows(schema: TableSchema, num_tuples: int, seed: int = 1) -> np.ndarray:
+    """Deterministic table contents as a read-only (n, fields) int64 master.
+
+    The layouts load it as is and both oracles hold it as their base;
+    a caller that wants lists calls ``.tolist()`` itself.
+    """
     return _rows_master(schema, num_tuples, seed)
-
-
-def make_rows(schema: TableSchema, num_tuples: int, seed: int = 1) -> list[list[int]]:
-    """Deterministic table contents (the functional oracle's source)."""
-    return _rows_master(schema, num_tuples, seed).tolist()
 
 
 def clear_workload_caches() -> None:

@@ -82,7 +82,6 @@ def _genverify_workload(vectorized: bool) -> Callable[[], Any]:
             generate_transaction_arrays,
             generate_transactions,
             make_rows,
-            make_rows_array,
         )
         from repro.harness.common import get_scale
         from repro.sim.results import StageTimer
@@ -94,7 +93,7 @@ def _genverify_workload(vectorized: bool) -> Callable[[], Any]:
         timer = StageTimer()
         if vectorized:
             with timer.stage("generate"):
-                rows = make_rows_array(schema, scale.db_tuples)
+                rows = make_rows(schema, scale.db_tuples)
                 txns = generate_transaction_arrays(
                     schema, scale.db_tuples, mix, scale.db_transactions
                 )
@@ -105,7 +104,7 @@ def _genverify_workload(vectorized: bool) -> Callable[[], Any]:
             observed_count = int(observed.size)
         else:
             with timer.stage("generate"):
-                rows = make_rows(schema, scale.db_tuples)
+                rows = make_rows(schema, scale.db_tuples).tolist()
                 txns = generate_transactions(
                     schema, scale.db_tuples, mix, scale.db_transactions
                 )

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.db.layouts import GSDRAMStore
-from repro.db.workload import AnalyticsQuery, make_rows, make_rows_array
+from repro.db.workload import AnalyticsQuery, make_rows
 from repro.dram.module import DRAMModule
 from repro.energy.model import system_energy
 from repro.errors import ConfigError
@@ -87,8 +87,7 @@ def _run_gs(workload, num_tuples, field_id, seed, config_overrides, timer):
     layout = GSDRAMStore()
     with timer.stage("generate"):
         rows = make_rows(layout.schema, num_tuples, seed=seed)
-        values = make_rows_array(layout.schema, num_tuples,
-                                 seed=seed)[:, field_id]
+        values = rows[:, field_id]
         threshold = _threshold(values)
     with timer.stage("setup"):
         system = System(table1_config(**(config_overrides or {})))
@@ -127,7 +126,7 @@ def _run_pim_variant(workload, num_tuples, field_id, seed,
 
     schema = TableSchema()
     with timer.stage("generate"):
-        values = make_rows_array(schema, num_tuples, seed=seed)[:, field_id]
+        values = make_rows(schema, num_tuples, seed=seed)[:, field_id]
         threshold = _threshold(values)
         width_in = max(int(values.max()).bit_length(), 1)
     with timer.stage("setup"):

@@ -172,26 +172,33 @@ class System:
     def malloc(self, size: int) -> int:
         return self.allocator.malloc(size)
 
-    def mem_write(self, address: int, data: bytes) -> None:
-        """Functionally pre-load memory (honouring page shuffle flags)."""
+    def mem_write(self, address: int, data) -> None:
+        """Functionally pre-load memory (honouring page shuffle flags).
+
+        ``data`` is any bytes-like object, such as a uint8 view of an
+        array; it is not copied whole.
+        """
         data = memoryview(data)
         for start, size in split_span(address, len(data), self.page_table.page_bytes):
             _, shuffled, _ = self.page_table.translate(start)
             offset = start - address
             self.module.write_bytes(start, data[offset : offset + size], shuffled)
 
-    def mem_read(self, address: int, length: int) -> bytes:
+    def mem_read(self, address: int, length: int) -> bytearray:
         """Functionally read memory (through any dirty cached lines).
 
         Drains dirty cache lines first so the result reflects the
-        latest architectural state.
+        latest architectural state. Each page is read into its place in
+        one buffer, which is returned without a further copy.
         """
         self.hierarchy.drain_dirty()
-        out = bytearray()
+        out = bytearray(length)
         for start, size in split_span(address, length, self.page_table.page_bytes):
             _, shuffled, _ = self.page_table.translate(start)
-            out += self.module.read_bytes(start, size, shuffled)
-        return bytes(out)
+            offset = start - address
+            out[offset : offset + size] = self.module.read_bytes(start, size,
+                                                                 shuffled)
+        return out
 
     # ------------------------------------------------------------------
     # Execution

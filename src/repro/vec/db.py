@@ -19,7 +19,7 @@ replay the *same* stream with no machine:
   gather math breaks verification instead of hiding.
 
 The table is never copied. Its state is the read-only master the
-caller passes (:func:`~repro.db.workload.make_rows_array`) plus an
+caller passes (:func:`~repro.db.workload.make_rows`) plus an
 overlay: the sorted, unique cells the transactions wrote and their
 final values. Everything is read through master-plus-overlay, and the
 overlay is the run's final table state.

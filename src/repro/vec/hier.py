@@ -58,6 +58,11 @@ from repro.vec.shim import machine_shim
 #: event drivers capture for the equivalence battery).
 COMPONENTS = ("controller", "l1", "l2", "hierarchy", "dbi")
 
+#: Entries :meth:`DirtyReplay._overlap_keys` memoises before it starts
+#: over. The memo is pure, so clearing it changes no count; without a
+#: bound a paper-scale gathered scan keeps one entry per line it saw.
+_OVERLAP_MEMO_ENTRIES = 4096
+
 
 def assert_fast_compatible(config: SystemConfig) -> None:
     """Raise ConfigError unless the fast path is exact for ``config``.
@@ -184,11 +189,14 @@ class DirtyReplay:
 
         Returns ``(keys_tuple, keys_set)``; empty when the module has no
         pattern support or both patterns are zero — mirroring
-        :meth:`CacheHierarchy._overlap_keys`.
+        :meth:`CacheHierarchy._overlap_keys`. The memo is cleared when
+        it holds :data:`_OVERLAP_MEMO_ENTRIES` entries.
         """
         memo_key = (line_address, pattern, alt)
         got = self._overlaps.get(memo_key)
         if got is None:
+            if len(self._overlaps) >= _OVERLAP_MEMO_ENTRIES:
+                self._overlaps.clear()
             other = alt if pattern == 0 else 0
             nonzero = pattern if pattern != 0 else alt
             if nonzero == 0 or not self._supports_patterns:

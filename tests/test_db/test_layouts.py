@@ -1,5 +1,6 @@
 """Tests for the three storage layouts."""
 
+import numpy as np
 import pytest
 
 from repro.db.engine import layout_config
@@ -35,7 +36,9 @@ class TestLoadReadRoundTrip:
         attach(layout)
         rows = make_rows(layout.schema, TUPLES, seed=3)
         layout.load_rows(rows)
-        assert layout.read_rows() == rows
+        table = layout.read_rows()
+        assert table.dtype == np.int64
+        assert np.array_equal(table, rows)
 
 
 class TestAddressing:

@@ -22,7 +22,6 @@ from repro.db.workload import (
     generate_transaction_arrays,
     generate_transactions,
     make_rows,
-    make_rows_array,
 )
 from repro.errors import WorkloadError
 
@@ -82,21 +81,21 @@ class TestTransactionArrays:
 
 
 class TestRowMaster:
-    def test_list_and_array_forms_agree(self):
+    def test_master_shape_and_seed(self):
         clear_workload_caches()
         rows = make_rows(SCHEMA, 24, seed=4)
-        array = make_rows_array(SCHEMA, 24, seed=4)
-        assert array.shape == (24, SCHEMA.num_fields)
-        assert rows == array.tolist()
+        assert rows.shape == (24, SCHEMA.num_fields)
+        assert rows.dtype == np.int64
+        assert not np.array_equal(rows, make_rows(SCHEMA, 24, seed=5))
 
     def test_master_is_read_only_and_memoized(self):
         clear_workload_caches()
-        first = make_rows_array(SCHEMA, 16, seed=4)
-        assert first is make_rows_array(SCHEMA, 16, seed=4)
+        first = make_rows(SCHEMA, 16, seed=4)
+        assert first is make_rows(SCHEMA, 16, seed=4)
         with pytest.raises(ValueError):
             first[0, 0] = 1
         clear_workload_caches()
-        again = make_rows_array(SCHEMA, 16, seed=4)
+        again = make_rows(SCHEMA, 16, seed=4)
         assert again is not first
         assert np.array_equal(again, first)
 

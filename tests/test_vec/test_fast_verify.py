@@ -6,8 +6,9 @@ a batch that differs from the oracle's only in its final write, under
 a write-only mix so that no observed read can catch the fault: the
 written-cell comparison alone must fail the run.
 
-The memory guards pin that a fast DB run holds no copy of the table
-and that :meth:`DirtyReplay.run` holds no per-access Python lists.
+The memory guards pin that a fast DB run holds no copy of the table,
+that :meth:`DirtyReplay.run` holds no per-access Python lists, and
+that its overlap memo stays bounded without changing a count.
 """
 
 import dataclasses
@@ -17,11 +18,19 @@ import numpy as np
 import pytest
 
 import repro.vec.db as vec_db
+import repro.vec.hier as vec_hier
 from repro.db.engine import layout_config, run_htap, run_transactions
 from repro.db.layouts import ColumnStore, GSDRAMStore, RowStore
 from repro.db.schema import TableSchema
-from repro.db.workload import HTAPWorkload, TransactionMix, make_rows_array
+from repro.db.workload import (
+    AnalyticsQuery,
+    HTAPWorkload,
+    TransactionMix,
+    generate_transaction_arrays,
+    make_rows,
+)
 from repro.vec.hier import DirtyReplay
+from repro.vm.pattmalloc import PattAllocator
 
 LAYOUTS = (RowStore, ColumnStore, GSDRAMStore)
 WRITE_ONLY = TransactionMix(0, 2, 0)
@@ -102,7 +111,7 @@ def test_fast_transactions_copy_no_table(layout_cls):
     # so the traced peak is the run's own state. Two whole-table copies
     # traced about 17.6 MB.
     num_tuples = 131_072
-    table_bytes = make_rows_array(TableSchema(), num_tuples).nbytes
+    table_bytes = make_rows(TableSchema(), num_tuples).nbytes
     run, peak = _traced_peak(lambda: run_transactions(
         layout_cls(), TransactionMix(4, 2, 2), num_tuples=num_tuples,
         count=1_000, mode="fast",
@@ -125,3 +134,46 @@ def test_replay_holds_no_per_access_lists():
     )
     assert replay.counts["l1_hits"] == accesses - 1
     assert peak / accesses < 32
+
+
+def _gs_replay(memo_sizes: list[int]) -> DirtyReplay:
+    """A GS-DRAM replay of transactions, a two-column gathered scan and
+    more transactions; ``memo_sizes`` gets the overlap memo's size
+    after every lookup."""
+    layout = GSDRAMStore()
+    config = layout_config(layout)
+    geometry = config.geometry
+    layout.attach(PattAllocator(capacity_bytes=geometry.capacity_bytes,
+                                line_bytes=geometry.line_bytes,
+                                row_bytes=geometry.row_bytes), 1024)
+    txns = generate_transaction_arrays(layout.schema, 1024,
+                                       TransactionMix(1, 1, 1), 200, seed=3)
+    replay = DirtyReplay(config)
+    lookup = replay._overlap_keys
+
+    def overlap_keys(*key):
+        got = lookup(*key)
+        memo_sizes.append(len(replay._overlaps))
+        return got
+
+    replay._overlap_keys = overlap_keys
+    for stream in (layout.transaction_stream(txns),
+                   layout.scan_stream(AnalyticsQuery((0, 1))),
+                   layout.transaction_stream(txns)):
+        replay.run(stream.line_addresses(geometry.line_bytes),
+                   stream.patterns, stream.alts, stream.writes,
+                   stream.shuffled)
+    return replay
+
+
+def test_overlap_memo_bound_keeps_counts(monkeypatch):
+    unbounded: list[int] = []
+    reference = _gs_replay(unbounded)
+    assert max(unbounded) > 2  # the memo outgrows the small bound below
+    monkeypatch.setattr(vec_hier, "_OVERLAP_MEMO_ENTRIES", 2)
+    bounded: list[int] = []
+    replay = _gs_replay(bounded)
+    assert len(bounded) == len(unbounded)
+    assert max(bounded) <= 2
+    assert replay.counts == reference.counts
+    assert replay.component_stats() == reference.component_stats()
